@@ -1,6 +1,6 @@
 """Ablations of the design choices DESIGN.md calls out."""
 
-from benchmarks.conftest import save_text
+from benchmarks.conftest import experiment_results, save_text
 from repro.bench.ablation import (
     ablate_parallel_fetch,
     ablate_request_combining,
@@ -9,12 +9,18 @@ from repro.bench.ablation import (
 )
 
 
-def test_group_size_sweep(benchmark, results_dir):
-    rows = benchmark.pedantic(
-        lambda: sweep_group_size("ILINK", "CLP") + sweep_group_size("MGS", "1Kx1K"),
-        rounds=1,
-        iterations=1,
-    )
+def _ablations(store):
+    return experiment_results(store, "ablation")
+
+
+def test_group_size_sweep(benchmark, results_dir, store):
+    def run():
+        results = _ablations(store)
+        return sweep_group_size(results, "ILINK", "CLP") + sweep_group_size(
+            results, "MGS", "1Kx1K"
+        )
+
+    rows = benchmark.pedantic(run, rounds=1, iterations=1)
     save_text(results_dir, "ablation_group_size.txt", render(rows))
     ilink = [r for r in rows if "ILINK" in r.name]
     mgs = [r for r in rows if "MGS" in r.name]
@@ -26,9 +32,11 @@ def test_group_size_sweep(benchmark, results_dir):
     assert all(r.time_us <= base * 1.05 for r in mgs)
 
 
-def test_request_combining(benchmark, results_dir):
+def test_request_combining(benchmark, results_dir, store):
     rows = benchmark.pedantic(
-        lambda: ablate_request_combining("ILINK", "CLP"), rounds=1, iterations=1
+        lambda: ablate_request_combining(_ablations(store), "ILINK", "CLP"),
+        rounds=1,
+        iterations=1,
     )
     save_text(results_dir, "ablation_combining.txt", render(rows))
     combined, uncombined = rows
@@ -36,9 +44,11 @@ def test_request_combining(benchmark, results_dir):
     assert combined.time_us <= uncombined.time_us * 1.01
 
 
-def test_parallel_fetch(benchmark, results_dir):
+def test_parallel_fetch(benchmark, results_dir, store):
     rows = benchmark.pedantic(
-        lambda: ablate_parallel_fetch("ILINK", "CLP"), rounds=1, iterations=1
+        lambda: ablate_parallel_fetch(_ablations(store), "ILINK", "CLP"),
+        rounds=1,
+        iterations=1,
     )
     save_text(results_dir, "ablation_parallel_fetch.txt", render(rows))
     parallel, serial = rows

@@ -1,12 +1,16 @@
 """Regenerates Figure 1 (Barnes, Ilink, TSP, Water unit-size sweeps)."""
 
-from benchmarks.conftest import save_text
+from benchmarks.conftest import experiment_results, save_text
 from repro.bench.figures import expected_shape_figure1, figure1
 from repro.bench.harness import write_csv
 
 
-def test_figure1(benchmark, results_dir):
-    matrix, text = benchmark.pedantic(figure1, rounds=1, iterations=1)
+def test_figure1(benchmark, results_dir, store):
+    matrix, text = benchmark.pedantic(
+        lambda: figure1(experiment_results(store, "figure1")),
+        rounds=1,
+        iterations=1,
+    )
     save_text(results_dir, "figure1.txt", text)
     write_csv(
         results_dir / "figure1.csv",

@@ -1,13 +1,17 @@
 """Regenerates Figure 2 (Jacobi, 3D-FFT, MGS, Shallow across problem
 sizes)."""
 
-from benchmarks.conftest import save_text
+from benchmarks.conftest import experiment_results, save_text
 from repro.bench.figures import expected_shape_figure2, figure2
 from repro.bench.harness import write_csv
 
 
-def test_figure2(benchmark, results_dir):
-    matrix, text = benchmark.pedantic(figure2, rounds=1, iterations=1)
+def test_figure2(benchmark, results_dir, store):
+    matrix, text = benchmark.pedantic(
+        lambda: figure2(experiment_results(store, "figure2")),
+        rounds=1,
+        iterations=1,
+    )
     save_text(results_dir, "figure2.txt", text)
     write_csv(
         results_dir / "figure2.csv",

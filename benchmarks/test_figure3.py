@@ -1,12 +1,16 @@
 """Regenerates Figure 3 (false-sharing signatures at 4 KB vs 16 KB)."""
 
-from benchmarks.conftest import save_text
+from benchmarks.conftest import experiment_results, save_text
 from repro.bench.figures import expected_shape_figure3, figure3
 from repro.bench.harness import write_csv
 
 
-def test_figure3(benchmark, results_dir):
-    matrix, text = benchmark.pedantic(figure3, rounds=1, iterations=1)
+def test_figure3(benchmark, results_dir, store):
+    matrix, text = benchmark.pedantic(
+        lambda: figure3(experiment_results(store, "figure3")),
+        rounds=1,
+        iterations=1,
+    )
     save_text(results_dir, "figure3.txt", text)
     write_csv(
         results_dir / "figure3.csv",

@@ -1,12 +1,16 @@
 """Regenerates Table 1 (sequential times and 8-processor speedups)."""
 
-from benchmarks.conftest import save_text
+from benchmarks.conftest import experiment_results, save_text
 from repro.bench.harness import write_csv
 from repro.bench.table1 import build_table1, render_table1
 
 
-def test_table1(benchmark, results_dir):
-    rows = benchmark.pedantic(build_table1, rounds=1, iterations=1)
+def test_table1(benchmark, results_dir, store):
+    rows = benchmark.pedantic(
+        lambda: build_table1(experiment_results(store, "table1")),
+        rounds=1,
+        iterations=1,
+    )
     save_text(results_dir, "table1.txt", render_table1(rows))
     write_csv(
         results_dir / "table1.csv",

@@ -14,16 +14,20 @@ The dynamic scheme tracks the winner on both.
     python examples/false_sharing_tradeoff.py
 """
 
-from repro.bench.harness import UNIT_LABELS, ResultCache
+from repro.bench.harness import UNIT_LABELS, lookup
+from repro.bench.pool import SweepCell, run_cells
 
 
 def sweep(app: str, dataset: str) -> None:
     print(f"\n=== {app} {dataset} ===")
+    results = run_cells(
+        [SweepCell.make(app, dataset, label) for label in UNIT_LABELS]
+    ).results
     base = None
     print(f"{'unit':>5} {'time':>8} {'norm':>6} {'messages':>9} "
           f"{'useless':>8} {'useless KB':>11} {'mean CW':>8}")
     for label in UNIT_LABELS:
-        c = ResultCache.get(app, dataset, label)
+        c = lookup(results, app, dataset, label)
         if base is None:
             base = c.time_us
         mean_cw = sum(k * sum(v) for k, v in c.signature.items())

@@ -11,23 +11,27 @@
 * :mod:`repro.bench.ablation` -- ablations of the design choices called
   out in DESIGN.md (dynamic group size, request combining, parallel
   fetch).
-* :mod:`repro.bench.cache` -- on-disk result cache keyed by (code
-  version, app, dataset, config); any source change invalidates it.
-* :mod:`repro.bench.pool` -- multiprocessing fan-out of independent
-  sweep cells (``--jobs``), bit-identical to serial execution.
+* :mod:`repro.bench.experiments` -- the registry of every experiment's
+  cells and renderer, read by the bench CLI and the farm.
+* :mod:`repro.bench.cache` -- cell keys over (code version, app,
+  dataset, config) and the stored-entry layout; any source change
+  invalidates every stored cell.
+* :mod:`repro.bench.pool` -- reads cells from a result store and runs
+  the misses, serially or over processes (``--jobs``), bit-identical to
+  serial execution.
 * :mod:`repro.bench.golden` -- the golden-baseline regression gate
   (``--check`` / ``--refresh-golden`` against ``benchmarks/golden/``).
 
-Each module renders the paper-shaped table as text and returns the raw
-numbers; the ``benchmarks/`` pytest-benchmark suite drives them and
-writes the outputs next to EXPERIMENTS.md.
+Each module renders the paper-shaped table as text from the results of
+its cells and returns the raw numbers; the ``benchmarks/``
+pytest-benchmark suite drives them and writes the outputs next to
+EXPERIMENTS.md.
 """
 
-from repro.bench.cache import DiskCache
 from repro.bench.harness import (
     UNIT_LABELS,
     CaseResult,
-    ResultCache,
+    lookup,
     run_case,
     render_breakdown_table,
 )
@@ -36,9 +40,8 @@ from repro.bench.pool import SweepCell, run_cells
 __all__ = [
     "UNIT_LABELS",
     "CaseResult",
-    "DiskCache",
-    "ResultCache",
     "SweepCell",
+    "lookup",
     "run_case",
     "run_cells",
     "render_breakdown_table",

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List
 
-from repro.bench.harness import ResultCache
+from repro.bench.harness import Results, lookup
 
 if TYPE_CHECKING:  # pragma: no cover - only for the cells() annotation
     from repro.bench.pool import SweepCell
@@ -35,8 +35,7 @@ class AblationRow:
 
 
 def cells() -> List[SweepCell]:
-    """The sweep cells the default ablation set consumes (for parallel
-    prewarming); mirrors ``repro.bench.cli._run_ablation``."""
+    """The sweep cells :func:`render_all` consumes."""
     from repro.bench.pool import SweepCell
 
     out: List[SweepCell] = []
@@ -50,10 +49,12 @@ def cells() -> List[SweepCell]:
     return out
 
 
-def sweep_group_size(app: str = "ILINK", dataset: str = "CLP") -> List[AblationRow]:
+def sweep_group_size(
+    results: Results, app: str = "ILINK", dataset: str = "CLP"
+) -> List[AblationRow]:
     rows: List[AblationRow] = []
     for maxg in (1, 2, 4, 8, 16):
-        c = ResultCache.get(app, dataset, "Dyn", max_group_pages=maxg)
+        c = lookup(results, app, dataset, "Dyn", max_group_pages=maxg)
         rows.append(
             AblationRow(
                 name=f"dynamic group size ({app})",
@@ -65,10 +66,12 @@ def sweep_group_size(app: str = "ILINK", dataset: str = "CLP") -> List[AblationR
     return rows
 
 
-def ablate_request_combining(app: str = "ILINK", dataset: str = "CLP") -> List[AblationRow]:
+def ablate_request_combining(
+    results: Results, app: str = "ILINK", dataset: str = "CLP"
+) -> List[AblationRow]:
     rows: List[AblationRow] = []
     for combine in (True, False):
-        c = ResultCache.get(app, dataset, "Dyn", combine_requests=combine)
+        c = lookup(results, app, dataset, "Dyn", combine_requests=combine)
         rows.append(
             AblationRow(
                 name=f"request combining ({app})",
@@ -80,10 +83,12 @@ def ablate_request_combining(app: str = "ILINK", dataset: str = "CLP") -> List[A
     return rows
 
 
-def ablate_parallel_fetch(app: str = "ILINK", dataset: str = "CLP") -> List[AblationRow]:
+def ablate_parallel_fetch(
+    results: Results, app: str = "ILINK", dataset: str = "CLP"
+) -> List[AblationRow]:
     rows: List[AblationRow] = []
     for parallel in (True, False):
-        c = ResultCache.get(app, dataset, "16K", parallel_fetch=parallel)
+        c = lookup(results, app, dataset, "16K", parallel_fetch=parallel)
         rows.append(
             AblationRow(
                 name=f"parallel fetch ({app})",
@@ -103,3 +108,14 @@ def render(rows: List[AblationRow]) -> str:
             f"msgs={r.total_messages}"
         )
     return "\n".join(lines)
+
+
+def render_all(results: Results) -> str:
+    """The default ablation set (the ``ablation`` experiment)."""
+    rows = (
+        sweep_group_size(results, "ILINK", "CLP")
+        + sweep_group_size(results, "MGS", "1Kx1K")
+        + ablate_request_combining(results, "ILINK", "CLP")
+        + ablate_parallel_fetch(results, "ILINK", "CLP")
+    )
+    return "Ablations\n" + render(rows)

@@ -1,34 +1,32 @@
-"""On-disk result cache for sweep cells.
+"""Cell keys and the on-disk result-entry layout.
 
 A *cell* is one (application, dataset, SimConfig) simulation.  Cells are
 deterministic, so their distilled :class:`~repro.bench.harness.CaseResult`
-can be memoized on disk and reused across processes and invocations --
-this is what makes repeated figure/table regeneration and the golden
-regression gate cheap.
+can be stored once and reused across processes and invocations -- this
+is what makes repeated figure/table regeneration and the golden
+regression gate cheap.  The one store is
+:class:`repro.farm.store.ResultStore`; this module defines what it
+stores and under which key.
 
 Keying
 ------
-A cell's cache key hashes four things:
+A cell's key hashes four things:
 
 * the **code version** -- a digest over every ``repro`` source file, so
-  any change to the simulator, protocol, or applications invalidates the
-  entire cache (a stale hit can never mask a behavior change);
+  any change to the simulator, protocol, or applications invalidates
+  every stored cell (a stale hit can never mask a behavior change);
 * the **application name** and **dataset label**;
 * the **canonical config JSON** (:meth:`SimConfig.canonical_json`), so
   two calls that resolve to the same configuration share one entry and
   two configs differing in any field -- including ``**extra`` overrides
   like ``max_group_pages`` -- can never alias.
 
-Entries are one JSON file per cell under ``repro_results/cache/`` with a
-human-readable ``<app>-<dataset>-<label>-<key>.json`` name (components
-sanitized to a filesystem-safe alphabet; the trailing content-addressed
-key is what disambiguates, so prefix collisions are harmless).  Corrupt,
-truncated, or stale-schema files are treated as misses and overwritten.
-
-The entry construction / validation / naming helpers below are shared
-with the distributed result store (:mod:`repro.farm.store`), whose
-``LocalDirBackend`` is byte-compatible with this layout -- a cache
-directory written by either is warm for both.
+In a directory store (``repro_results/cache/`` by default) each entry
+is one JSON file with a human-readable
+``<app>-<dataset>-<label>-<key>.json`` name (components sanitized to a
+filesystem-safe alphabet; the trailing content-addressed key is what
+disambiguates, so prefix collisions are harmless).  Corrupt, truncated,
+or stale-schema entries are treated as misses and overwritten.
 """
 
 from __future__ import annotations
@@ -50,8 +48,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (harness imports us)
 #: Bump when the cache entry layout changes; old entries become misses.
 CACHE_SCHEMA = 1
 
-#: Default cache root, relative to the working directory (the CLI and
-#: tests pass explicit paths; this matches the repo layout).
+#: Default directory store, relative to the working directory (the CLIs
+#: and tests pass explicit paths; this matches the repo layout).
 DEFAULT_CACHE_DIR = pathlib.Path("repro_results") / "cache"
 
 _SRC_ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -215,53 +213,3 @@ def atomic_write_text(path: pathlib.Path, text: str) -> None:
             os.unlink(tmp)
         raise
 
-
-class DiskCache:
-    """One-file-per-cell JSON cache with hit/miss accounting."""
-
-    def __init__(self, root: pathlib.Path = DEFAULT_CACHE_DIR) -> None:
-        self.root = pathlib.Path(root)
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
-
-    def _path(self, app: str, dataset: str, label: str, key: str) -> pathlib.Path:
-        return self.root / entry_filename(app, dataset, label, key)
-
-    def load(
-        self, app: str, dataset: str, label: str, config: SimConfig
-    ) -> "Optional[CaseResult]":
-        """Return the cached :class:`CaseResult`, or None on a miss."""
-        key = cell_key(app, dataset, config)
-        path = self._path(app, dataset, label, key)
-        try:
-            entry = json.loads(path.read_text())
-            result = parse_entry(entry, key)
-        except (OSError, ValueError, KeyError, TypeError):
-            self.misses += 1
-            return None
-        self.hits += 1
-        return result
-
-    def store(
-        self, app: str, dataset: str, label: str, config: SimConfig,
-        result: "CaseResult",
-    ) -> pathlib.Path:
-        """Write one cell's result; returns the file path."""
-        entry = build_entry(app, dataset, label, config, result)
-        path = self._path(app, dataset, label, str(entry["key"]))
-        atomic_write_text(path, dump_entry(entry))
-        self.stores += 1
-        return path
-
-    def clear(self) -> int:
-        """Delete every cache entry; returns the number removed."""
-        n = 0
-        if self.root.is_dir():
-            for path in self.root.glob("*.json"):
-                path.unlink()
-                n += 1
-        return n
-
-    def __len__(self) -> int:
-        return len(list(self.root.glob("*.json"))) if self.root.is_dir() else 0

@@ -10,12 +10,15 @@
 Each command prints the paper-shaped table and (with ``--out``) writes
 it next to the CSV data, exactly like the pytest-benchmark suite.
 
-Sweep cells are cached on disk under ``repro_results/cache/`` (keyed by
-code version + configuration, so any source change invalidates them) and
-can be fanned out over worker processes with ``--jobs``; parallel runs
-are bit-identical to serial ones.  ``--check`` is the golden-baseline
-regression gate (exit 1 on any counter drift); ``--refresh-golden``
-regenerates the committed baselines after an intended behavior change.
+Experiments and their cells come from :mod:`repro.bench.experiments`.
+Finished cells live in one result store, a directory under
+``repro_results/cache/`` (keyed by code version + configuration, so any
+source change invalidates them; ``--no-cache`` runs without a store),
+and misses can be fanned out over worker processes with ``--jobs``;
+parallel runs are bit-identical to serial ones.  ``--check`` is the
+golden-baseline regression gate (exit 1 on any counter drift, or on a
+stale committed figure 1/3 rendering); ``--refresh-golden`` regenerates
+the committed baselines after an intended behavior change.
 """
 
 from __future__ import annotations
@@ -23,86 +26,17 @@ from __future__ import annotations
 import argparse
 import pathlib
 import sys
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
-from repro.bench import (
-    ablation,
-    cache,
-    figures,
-    golden,
-    micro,
-    pool,
-    profile,
-    protocol_sweep,
-    table1,
-)
-from repro.bench.harness import ResultCache
-
-
-def _run_table1() -> str:
-    return table1.render_table1(table1.build_table1())
-
-
-def _run_figure(
-    fig: Callable[[], Tuple[figures.Matrix, str]]
-) -> Callable[[], str]:
-    def run() -> str:
-        _, text = fig()
-        return text
-
-    return run
-
-
-def _run_micro() -> str:
-    return micro.render(micro.run_all())
-
-
-def _run_ablation() -> str:
-    rows = (
-        ablation.sweep_group_size("ILINK", "CLP")
-        + ablation.sweep_group_size("MGS", "1Kx1K")
-        + ablation.ablate_request_combining("ILINK", "CLP")
-        + ablation.ablate_parallel_fetch("ILINK", "CLP")
-    )
-    return "Ablations\n" + ablation.render(rows)
-
-
-def _run_protocols() -> str:
-    return protocol_sweep.render(protocol_sweep.sweep_rows())
-
-
-COMMANDS: Dict[str, Callable[[], str]] = {
-    "table1": _run_table1,
-    "figure1": _run_figure(figures.figure1),
-    "figure2": _run_figure(figures.figure2),
-    "figure3": _run_figure(figures.figure3),
-    "micro": _run_micro,
-    "ablation": _run_ablation,
-    "protocols": _run_protocols,
-}
-
-
-def _cells_for(names: List[str]) -> List[pool.SweepCell]:
-    """Every sweep cell the named experiments will consume, so a parallel
-    prewarm leaves only cache hits for the (serial) renderers."""
-    cells: List[pool.SweepCell] = []
-    for name in names:
-        if name == "table1":
-            cells.extend(table1.cells())
-        elif name in ("figure1", "figure2", "figure3"):
-            cells.extend(figures.cells(name))
-        elif name == "ablation":
-            cells.extend(ablation.cells())
-        elif name == "protocols":
-            cells.extend(protocol_sweep.cells())
-        # micro measures sync primitives directly; it has no sweep cells.
-    return cells
+from repro.bench import cache, figures, golden, pool, profile
+from repro.bench.experiments import cells_of, render, renderable
+from repro.farm.store import LocalDirBackend, ResultStore
 
 
 def _dump_traces(outdir: pathlib.Path) -> None:
     """Write Chrome-trace timelines of the figure-1 applications (one
     traced 4 KB run each) into ``outdir``.  Traced runs bypass the
-    result cache: the recorder is observational, but cached results do
+    result store: the recorder is observational, but stored results do
     not carry one."""
     from repro.apps.base import get_app, run_app
     from repro.bench.harness import config_for
@@ -127,7 +61,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "experiments",
         nargs="*",
         default=[],
-        metavar="{" + ",".join(sorted(COMMANDS) + ["all"]) + "}",
+        metavar="{" + ",".join(renderable() + ["all"]) + "}",
         help="which experiments to run",
     )
     parser.add_argument(
@@ -148,12 +82,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--cache-dir",
         type=pathlib.Path,
         default=cache.DEFAULT_CACHE_DIR,
-        help="on-disk result cache directory (default: %(default)s)",
+        help="result store directory (default: %(default)s)",
     )
     parser.add_argument(
         "--no-cache",
         action="store_true",
-        help="disable the on-disk result cache for this invocation",
+        help="run without a result store (every cell is simulated)",
     )
     parser.add_argument(
         "--check",
@@ -248,10 +182,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "/ --refresh-golden"
         )
     for name in args.experiments:
-        if name not in ("all", "profile") and name not in COMMANDS:
+        if name not in ("all", "profile") and name not in renderable():
             parser.error(
                 f"unknown experiment {name!r} (choose from "
-                f"{', '.join(sorted(COMMANDS) + ['all', 'profile'])})"
+                f"{', '.join(renderable() + ['all', 'profile'])})"
             )
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
@@ -286,52 +220,46 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         and not args.small_only
         and args.access_mode == "bulk"
     )
-    previous_disk = ResultCache.disk()
-    ResultCache.configure(
-        None if args.no_cache else cache.DiskCache(args.cache_dir)
-    )
-    try:
-        names = sorted(COMMANDS) if "all" in args.experiments else args.experiments
-        if "profile" in names:
-            # Profiled runs are never cached (the profiler needs the
-            # simulation to actually execute) and run after the cached
-            # experiments so their cells stay warm for the renderers.
-            names = [n for n in names if n != "profile"]
-            text = profile.run_and_write(args.profile_case, args.profile_out)
-            print(text)
-            print()
-        if names:
-            report = pool.run_cells(_cells_for(names), jobs=args.jobs)
-            print(f"# sweep: {report.summary()}", file=sys.stderr)
+    store = None if args.no_cache else ResultStore(LocalDirBackend(args.cache_dir))
+    names = renderable() if "all" in args.experiments else args.experiments
+    if "profile" in names:
+        # Profiled runs never touch the store (the profiler needs the
+        # simulation to actually execute).
+        names = [n for n in names if n != "profile"]
+        print(profile.run_and_write(args.profile_case, args.profile_out))
+        print()
+    if names:
+        cells = [c for name in names for c in cells_of(name)]
+        report = pool.run_cells(cells, args.jobs, store)
+        print(f"# sweep: {report.summary()}", file=sys.stderr)
         for name in names:
-            text = COMMANDS[name]()
+            text = render(name, report.results)
             print(text)
             print()
             if args.out is not None:
                 args.out.mkdir(parents=True, exist_ok=True)
                 (args.out / f"{name}.txt").write_text(text + "\n")
-        if args.trace_out is not None:
-            _dump_traces(args.trace_out)
+    if args.trace_out is not None:
+        _dump_traces(args.trace_out)
 
-        if args.refresh_golden:
-            written = golden.write_golden(
-                args.golden_dir, apps=apps, jobs=args.jobs,
-                protocols=protocols, full=full,
-            )
-            for path in written:
-                print(f"wrote {path}")
-        if args.check:
-            check_report = golden.check(
-                args.golden_dir, apps=apps, jobs=args.jobs,
-                protocols=protocols, access_mode=args.access_mode,
-                full=full,
-            )
-            print(check_report.render())
-            if not check_report.ok:
-                return 1
-        return 0
-    finally:
-        ResultCache.configure(previous_disk)
+    if args.refresh_golden:
+        written = golden.write_golden(
+            args.golden_dir, apps=apps, jobs=args.jobs,
+            protocols=protocols, full=full, store=store,
+        )
+        for path in written:
+            print(f"wrote {path}")
+    if args.check:
+        check_report = golden.check(
+            args.golden_dir, apps=apps, jobs=args.jobs,
+            protocols=protocols, access_mode=args.access_mode,
+            full=full, store=store,
+        )
+        print(f"# sweep: {check_report.sweep_summary}", file=sys.stderr)
+        print(check_report.render())
+        if not check_report.ok:
+            return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -9,10 +9,11 @@
   per fault, split useful/useless) at 4 KB vs 16 KB for Barnes, Ilink,
   Water, and MGS.
 
-Each ``figure*`` function returns ``{(app, dataset): {label: CaseResult}}``
-and a rendered text block; ``expected_shape_*`` returns the pass/fail of
-the paper's qualitative claims for that figure (used by the benchmark
-suite as assertions).
+Each ``figure*`` function reads the results of its own ``cells`` and
+returns ``{(app, dataset): {label: CaseResult}}`` and a rendered text
+block; ``expected_shape_*`` returns the pass/fail of the paper's
+qualitative claims for that figure (used by the benchmark suite as
+assertions).
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (pool imports us
 from repro.bench.harness import (
     UNIT_LABELS,
     CaseResult,
-    ResultCache,
+    Results,
+    lookup,
     render_breakdown_table,
     render_signature,
 )
@@ -62,17 +64,15 @@ FIGURE3_CASES = [
 Matrix = Dict[Tuple[str, str], Dict[str, CaseResult]]
 
 
-def _sweep(cases: Sequence[Tuple[str, str]]) -> Matrix:
-    out: Matrix = {}
-    for app, ds in cases:
-        out[(app, ds)] = {
-            label: ResultCache.get(app, ds, label) for label in UNIT_LABELS
-        }
-    return out
+def _sweep(results: Results, cases: Sequence[Tuple[str, str]]) -> Matrix:
+    return {
+        (app, ds): {label: lookup(results, app, ds, label) for label in UNIT_LABELS}
+        for app, ds in cases
+    }
 
 
 def cells(which: str) -> List[SweepCell]:
-    """The sweep cells one figure consumes (for parallel prewarming)."""
+    """The sweep cells one figure consumes."""
     from repro.bench.pool import SweepCell
 
     cases = {
@@ -87,8 +87,8 @@ def cells(which: str) -> List[SweepCell]:
     ]
 
 
-def figure1() -> Tuple[Matrix, str]:
-    matrix = _sweep(FIGURE1_CASES)
+def figure1(results: Results) -> Tuple[Matrix, str]:
+    matrix = _sweep(results, FIGURE1_CASES)
     text = "\n\n".join(
         render_breakdown_table(app, ds, cells)
         for (app, ds), cells in matrix.items()
@@ -96,8 +96,8 @@ def figure1() -> Tuple[Matrix, str]:
     return matrix, "Figure 1 -- coarse-grained applications\n" + text
 
 
-def figure2() -> Tuple[Matrix, str]:
-    matrix = _sweep(FIGURE2_CASES)
+def figure2(results: Results) -> Tuple[Matrix, str]:
+    matrix = _sweep(results, FIGURE2_CASES)
     text = "\n\n".join(
         render_breakdown_table(app, ds, cells)
         for (app, ds), cells in matrix.items()
@@ -105,8 +105,8 @@ def figure2() -> Tuple[Matrix, str]:
     return matrix, "Figure 2 -- size-sensitive applications\n" + text
 
 
-def figure3() -> Tuple[Matrix, str]:
-    matrix = _sweep(FIGURE3_CASES)
+def figure3(results: Results) -> Tuple[Matrix, str]:
+    matrix = _sweep(results, FIGURE3_CASES)
     blocks: List[str] = []
     for (app, ds), cells in matrix.items():
         blocks.append(f"--- {app} {ds} ---\n" + render_signature(cells))

@@ -15,19 +15,29 @@ File layout: one ``<app>.json`` per application holding
 for non-default consistency protocols (``--protocols``) use the same
 layout under a ``<protocol>/`` subdirectory; the default protocol's
 files stay at the top level, byte-identical to the pre-zoo layout.
+
+An unfiltered bulk-mode check also re-renders the committed
+``repro_results/figure1.txt`` and ``figure3.txt`` from the cells it
+already holds (every cell they read is in the gate's matrix) and fails
+on any byte difference, so the committed output cannot drift from the
+code.
 """
 
 from __future__ import annotations
 
+import difflib
 import json
 import pathlib
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence
 
-from repro.bench import micro
-from repro.bench.harness import CaseResult, ResultCache
+from repro.bench import figures, micro
+from repro.bench.harness import CaseResult, lookup
 from repro.bench.pool import SweepCell, run_cells
 from repro.sim.config import DEFAULT_PROTOCOL
+
+if TYPE_CHECKING:  # pragma: no cover - the store imports the bench pool
+    from repro.farm.store import ResultStore
 
 #: Counters compared exactly against the baselines, in report order.
 #: The fault-lab counters are all zero on the gate's reliable network;
@@ -85,6 +95,13 @@ GOLDEN_PROTOCOLS = (DEFAULT_PROTOCOL, "erc", "hlrc", "swi")
 
 #: Default baseline directory (checked into the repository).
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parents[3] / "benchmarks" / "golden"
+
+#: Committed renderings directory (``repro_results/`` at the repo root).
+ARTIFACT_DIR = GOLDEN_DIR.parents[1] / "repro_results"
+
+#: Committed renderings an unfiltered bulk check re-renders from its own
+#: cells: name -> figure function.
+GATED_ARTIFACTS = {"figure1": figures.figure1, "figure3": figures.figure3}
 
 
 def _protocol_extra(protocol: str) -> Dict[str, Any]:
@@ -215,6 +232,7 @@ def write_golden(
     progress: Optional[Callable[[str], None]] = None,
     protocols: Sequence[str] = (DEFAULT_PROTOCOL,),
     full: bool = False,
+    store: Optional[ResultStore] = None,
 ) -> List[pathlib.Path]:
     """(Re)generate baseline files from the current code; returns the
     paths written.
@@ -226,7 +244,7 @@ def write_golden(
     independently.
     """
     cells = golden_cells(apps, protocols, full=full)
-    run_cells(cells, jobs=jobs, progress=progress)
+    results = run_cells(cells, jobs, store, progress).results
     golden_dir = pathlib.Path(golden_dir)
     written: List[pathlib.Path] = []
     names = sorted(SMALL_DATASETS) if apps is None else list(apps)
@@ -236,15 +254,13 @@ def write_golden(
             ds = SMALL_DATASETS[app]
             entry = load_app_golden(golden_dir, app, protocol) or {}
             entry[ds] = {
-                label: case_snapshot(
-                    ResultCache.get(app, ds, label, **extra)
-                )
+                label: case_snapshot(lookup(results, app, ds, label, **extra))
                 for label in GOLDEN_LABELS
             }
             if full and protocol == DEFAULT_PROTOCOL and app in FULL_DATASETS:
                 fds = FULL_DATASETS[app]
                 entry[fds] = {
-                    label: case_snapshot(ResultCache.get(app, fds, label))
+                    label: case_snapshot(lookup(results, app, fds, label))
                     for label in FULL_LABELS
                 }
             path = _app_path(golden_dir, app, protocol)
@@ -272,25 +288,35 @@ class CheckReport:
     cells_checked: int = 0
     mismatches: List[Mismatch] = field(default_factory=list)
     missing: List[str] = field(default_factory=list)
+    artifacts_checked: int = 0
+    stale: List[str] = field(default_factory=list)
+    """One rendered diff per committed rendering that drifted."""
+    sweep_summary: str = ""
 
     @property
     def ok(self) -> bool:
-        return not self.mismatches and not self.missing
+        return not self.mismatches and not self.missing and not self.stale
 
     def render(self) -> str:
+        fresh = (
+            f"; {self.artifacts_checked} committed renderings are fresh"
+            if self.artifacts_checked else ""
+        )
         if self.ok:
             return (
                 f"golden check OK: {self.cells_checked} cells match the "
-                f"baselines exactly"
+                f"baselines exactly{fresh}"
             )
+        stale = f", {len(self.stale)} stale artifact(s)" if self.stale else ""
         lines = [
             f"golden check FAILED: {len(self.mismatches)} counter mismatch(es), "
-            f"{len(self.missing)} missing baseline(s) "
+            f"{len(self.missing)} missing baseline(s){stale} "
             f"over {self.cells_checked} cells"
         ]
         for m in self.missing:
             lines.append(f"  {m}: no committed baseline "
                          f"(run --refresh-golden and commit the result)")
+        lines.extend(self.stale)
         lines.extend(m.render() for m in self.mismatches)
         if self.mismatches:
             lines.append(
@@ -309,6 +335,7 @@ def check(
     protocols: Sequence[str] = (DEFAULT_PROTOCOL,),
     access_mode: str = "bulk",
     full: bool = False,
+    store: Optional[ResultStore] = None,
 ) -> CheckReport:
     """Run the gate matrix and compare every cell against the baselines.
 
@@ -317,12 +344,16 @@ def check(
     the *same* committed baselines (which are generated under the bulk
     fast path) -- the scalar-vs-bulk equivalence gate.  The micro
     baselines measure sync primitives directly and are skipped there.
-    ``full`` widens the matrix with the paper full-size datasets.
+    ``full`` widens the matrix with the paper full-size datasets.  An
+    unfiltered bulk check of the default protocol also re-renders
+    :data:`GATED_ARTIFACTS` against the files in :data:`ARTIFACT_DIR`.
     """
     report = CheckReport()
     golden_dir = pathlib.Path(golden_dir)
     cells = golden_cells(apps, protocols, access_mode, full=full)
-    run_cells(cells, jobs=jobs, progress=progress)
+    sweep = run_cells(cells, jobs, store, progress)
+    report.sweep_summary = sweep.summary()
+    results = sweep.results
     names = sorted(SMALL_DATASETS) if apps is None else list(apps)
 
     def compare_cell(
@@ -332,7 +363,7 @@ def check(
         extra = _cell_extra(protocol, access_mode)
         tag = "" if protocol == DEFAULT_PROTOCOL else f" [{protocol}]"
         where = f"{app}/{ds}@{label}{tag}"
-        case = ResultCache.get(app, ds, label, **extra)
+        case = lookup(results, app, ds, label, **extra)
         report.cells_checked += 1
         entry = (golden_entry or {}).get(ds, {}).get(label)
         if entry is None:
@@ -350,12 +381,26 @@ def check(
                     compare_cell(
                         app, FULL_DATASETS[app], label, protocol, golden
                     )
-    if (
-        with_micro
-        and apps is None
-        and DEFAULT_PROTOCOL in protocols
-        and access_mode == "bulk"
-    ):
+    unfiltered_bulk = (
+        apps is None and DEFAULT_PROTOCOL in protocols and access_mode == "bulk"
+    )
+    if unfiltered_bulk:
+        for name, figure in GATED_ARTIFACTS.items():
+            report.artifacts_checked += 1
+            path = ARTIFACT_DIR / f"{name}.txt"
+            committed = path.read_text() if path.is_file() else ""
+            fresh = figure(results)[1] + "\n"
+            if committed != fresh:
+                diff = difflib.unified_diff(
+                    committed.splitlines(), fresh.splitlines(),
+                    f"{path} (committed)", "fresh render", n=0, lineterm="",
+                )
+                report.stale.append(
+                    f"  {path}: stale; regenerate with `python -m "
+                    f"repro.bench {name} --out {path.parent}`\n    "
+                    + "\n    ".join(list(diff)[:12])
+                )
+    if with_micro and unfiltered_bulk:
         path = golden_dir / "micro.json"
         measured = micro.snapshot(micro.run_all())
         report.cells_checked += len(measured)

@@ -2,10 +2,11 @@
 
 Every paper experiment is a matrix of (application, dataset) x
 (consistency configuration).  ``run_case`` executes one cell and distills
-a :class:`CaseResult`; :class:`ResultCache` memoizes cells -- in memory
-always, and through the on-disk :class:`repro.bench.cache.DiskCache` when
-one is attached -- so the benchmark suite never runs the same simulation
-twice; the render helpers produce the paper-shaped ASCII tables.
+a :class:`CaseResult`.  An experiment's results are a plain mapping from
+cell key (:func:`repro.bench.cache.cell_key`) to :class:`CaseResult`, as
+returned by :func:`repro.bench.pool.run_cells`; renderers are pure
+functions of that mapping and read it through :func:`lookup`.  The render
+helpers produce the paper-shaped ASCII tables.
 """
 
 from __future__ import annotations
@@ -13,12 +14,12 @@ from __future__ import annotations
 import pathlib
 import random
 from dataclasses import asdict, dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.apps.base import get_app, run_app
-from repro.bench.cache import DiskCache, cell_key, cell_seed
+from repro.bench.cache import cell_key, cell_seed
 from repro.sim.config import SimConfig
 from repro.stats.report import RunResult
 from repro.stats.signature import normalized_from_json, normalized_to_json
@@ -126,7 +127,7 @@ class CaseResult:
         )
 
     # ------------------------------------------------------------------
-    # Lossless JSON round-trip (disk cache, pool workers, baselines).
+    # Lossless JSON round-trip (result store, pool workers, baselines).
     # Floats survive exactly: json uses repr, the shortest round-tripping
     # decimal form.
     # ------------------------------------------------------------------
@@ -163,99 +164,30 @@ def run_case(app_name: str, dataset: str, label: str, **extra: Any) -> CaseResul
     return CaseResult.from_run(res)
 
 
-class PendingCellError(LookupError):
-    """A cell was requested while computation is disabled
-    (:meth:`ResultCache.set_compute`) and no cached result exists."""
+#: An experiment's results: cell key -> result.
+Results = Mapping[str, CaseResult]
 
 
-class ResultCache:
-    """Process-wide memo of matrix cells (simulations are deterministic,
-    so caching is sound), optionally backed by an on-disk cache.
+def lookup(
+    results: Results, app_name: str, dataset: str, label: str, **extra: Any
+) -> CaseResult:
+    """The result of one cell, found by its resolved-config key.
 
-    Keys are the resolved-config cell keys of :mod:`repro.bench.cache`:
-    ``get()`` resolves ``(label, **extra)`` to a full :class:`SimConfig`
-    first, so two calls that differ in any ``**extra`` override can never
-    alias one entry, and two spellings of the same configuration (e.g.
-    ``get(.., "4K")`` and ``get(.., "4K", unit_pages=1)``) share one.
+    ``(label, **extra)`` resolves to a full :class:`SimConfig` first, so
+    two spellings of one configuration (``"4K"`` and ``"4K",
+    unit_pages=1``) find the same entry and cells differing in any
+    override never alias.  A cell absent from ``results`` -- one the
+    experiment did not declare -- raises ``KeyError``.
     """
-
-    _cells: Dict[str, CaseResult] = {}
-    _disk: Optional[DiskCache] = None
-    _compute: bool = True
-
-    @classmethod
-    def configure(cls, disk: Optional[DiskCache]) -> None:
-        """Attach (or detach, with None) the on-disk cache layer."""
-        cls._disk = disk
-
-    @classmethod
-    def disk(cls) -> Optional[DiskCache]:
-        return cls._disk
-
-    @classmethod
-    def set_compute(cls, enabled: bool) -> bool:
-        """Allow or forbid running simulations on a cache miss; returns
-        the previous setting.  The read-only results service disables
-        computation so a renderer whose cell enumeration drifted raises
-        :class:`PendingCellError` instead of simulating in-request."""
-        previous = cls._compute
-        cls._compute = enabled
-        return previous
-
-    @classmethod
-    def get(
-        cls, app_name: str, dataset: str, label: str, **extra: Any
-    ) -> CaseResult:
-        config = config_for(label, **extra)
-        key = cell_key(app_name, dataset, config)
-        if key in cls._cells:
-            return cls._cells[key]
-        result = None
-        if cls._disk is not None:
-            result = cls._disk.load(app_name, dataset, label, config)
-        if result is None:
-            if not cls._compute:
-                raise PendingCellError(
-                    f"cell {app_name}/{dataset}@{label} is not cached and "
-                    f"computation is disabled"
-                )
-            result = run_case(app_name, dataset, label, **extra)
-            if cls._disk is not None:
-                cls._disk.store(app_name, dataset, label, config, result)
-        cls._cells[key] = result
-        return result
-
-    @classmethod
-    def put(cls, app_name: str, dataset: str, label: str,
-            result: CaseResult, **extra: Any) -> None:
-        """Install an externally-computed cell (pool workers feed results
-        back through this), writing through to the disk layer."""
-        config = config_for(label, **extra)
-        key = cell_key(app_name, dataset, config)
-        cls._cells[key] = result
-        if cls._disk is not None:
-            cls._disk.store(app_name, dataset, label, config, result)
-
-    @classmethod
-    def cached(
-        cls, app_name: str, dataset: str, label: str, **extra: Any
-    ) -> bool:
-        """True when the cell is already in memory or on disk (a disk
-        probe loads the entry into memory as a side effect)."""
-        config = config_for(label, **extra)
-        key = cell_key(app_name, dataset, config)
-        if key in cls._cells:
-            return True
-        if cls._disk is not None:
-            result = cls._disk.load(app_name, dataset, label, config)
-            if result is not None:
-                cls._cells[key] = result
-                return True
-        return False
-
-    @classmethod
-    def clear(cls) -> None:
-        cls._cells.clear()
+    key = cell_key(app_name, dataset, config_for(label, **extra))
+    try:
+        return results[key]
+    except KeyError:
+        extras = "".join(f" {k}={v}" for k, v in sorted(extra.items()))
+        raise KeyError(
+            f"cell {app_name}/{dataset}@{label}{extras} is not among the "
+            f"results (undeclared in the experiment's cells?)"
+        ) from None
 
 
 # ----------------------------------------------------------------------

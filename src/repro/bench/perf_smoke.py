@@ -68,7 +68,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--bench",
         type=pathlib.Path,
         default=DEFAULT_BENCH,
-        help="BENCH_bulk.json to gate against (default: %(default)s)",
+        help="BENCH_*.json record to gate against, e.g. BENCH_vec.json "
+        "(default: %(default)s)",
     )
     parser.add_argument(
         "--repeats",
@@ -92,8 +93,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     if best > budget:
         print(
-            f"FAIL: bulk smoke cell regressed more than "
-            f"{max_regression:.0%} vs BENCH_bulk.json",
+            f"FAIL: smoke cell regressed more than "
+            f"{max_regression:.0%} vs {args.bench.name}",
             file=sys.stderr,
         )
         return 1

@@ -2,18 +2,18 @@
 
 Every paper experiment reduces to a set of independent (application,
 dataset, configuration) cells, so the sweep is embarrassingly parallel:
-``run_cells`` deduplicates the requested cells, satisfies what it can
-from the in-memory/on-disk caches, fans the misses out over a
-``multiprocessing`` pool, and feeds the results back through
-:meth:`ResultCache.put` so the experiment renderers afterwards hit the
-cache for every cell.
+``run_cells`` deduplicates the requested cells, reads what it can from a
+:class:`repro.farm.store.ResultStore` (when given one), runs the misses
+serially or over a ``multiprocessing`` pool, writes them back to the
+store, and returns every result it read or computed -- the mapping the
+experiment renderers are pure functions of.
 
 Determinism: each cell seeds the process-global RNGs from a hash of its
 own identity (see :func:`repro.bench.cache.cell_seed`, applied inside
 ``run_case``), and the applications use fixed-seed local generators, so
 a cell's result is bit-identical whether it runs in the parent process,
 a pool worker, or any order relative to other cells.  Workers ship
-results back as JSON dicts (the same lossless encoding the disk cache
+results back as JSON dicts (the same lossless encoding the store
 uses), so ``--jobs N`` output is counter-for-counter identical to a
 serial run -- asserted by ``tests/bench/test_pool.py`` and the CI
 bench-smoke job.
@@ -27,11 +27,14 @@ from __future__ import annotations
 
 import multiprocessing
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.bench.cache import cell_key
-from repro.bench.harness import CaseResult, ResultCache, config_for, run_case
+from repro.bench.harness import CaseResult, config_for, run_case
 from repro.faults.channel import DroppedMessageError
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (the store imports us)
+    from repro.farm.store import ResultStore
 
 
 @dataclass(frozen=True)
@@ -92,24 +95,25 @@ def dedupe_cells(cells: Sequence[SweepCell]) -> List[SweepCell]:
 
 @dataclass
 class SweepReport:
-    """What ``run_cells`` did: cache economics and wall-clock attribution."""
+    """What ``run_cells`` did: the results, plus store economics."""
 
     requested: int = 0
     deduped: int = 0
     cached: int = 0
     ran: int = 0
     jobs: int = 1
-    cells_run: List[str] = field(default_factory=list)
+    results: Dict[str, CaseResult] = field(default_factory=dict)
+    """Cell key -> result for every cell read from the store or run."""
     failed: List[Tuple[str, str]] = field(default_factory=list)
     """``(cell, error)`` for cells that raised
     :class:`repro.faults.channel.DroppedMessageError`; their results are
-    absent from the cache, everything else completed normally."""
+    absent from ``results``, everything else completed normally."""
 
     def summary(self) -> str:
         tail = f", {len(self.failed)} failed" if self.failed else ""
         return (
             f"{self.requested} cells requested, {self.deduped} unique: "
-            f"{self.cached} from cache, {self.ran} run "
+            f"{self.cached} from store, {self.ran} run "
             f"({'serial' if self.jobs <= 1 else f'{self.jobs} jobs'}){tail}"
         )
 
@@ -117,36 +121,45 @@ class SweepReport:
 def run_cells(
     cells: Sequence[SweepCell],
     jobs: int = 1,
+    store: Optional[ResultStore] = None,
     progress: Optional[Callable[[str], None]] = None,
 ) -> SweepReport:
-    """Ensure every cell is in :class:`ResultCache`, running misses with
-    up to ``jobs`` worker processes.  Returns a :class:`SweepReport`.
+    """Read or compute every cell, running misses with up to ``jobs``
+    worker processes; new results are written back to ``store``.
+    Returns a :class:`SweepReport` whose ``results`` hold every cell.
     """
     report = SweepReport(requested=len(cells), jobs=max(1, jobs))
     unique = dedupe_cells(cells)
     report.deduped = len(unique)
 
-    missing = [
-        c for c in unique
-        if not ResultCache.cached(c.app, c.dataset, c.label, **c.kwargs)
-    ]
+    missing: List[SweepCell] = []
+    for cell in unique:
+        hit = store.get_result(cell) if store is not None else None
+        if hit is None:
+            missing.append(cell)
+        else:
+            report.results[cell.key] = hit
     report.cached = len(unique) - len(missing)
     report.ran = len(missing)
-    report.cells_run = [str(c) for c in missing]
 
-    if not missing:
-        return report
+    def finish(cell: SweepCell, data: Dict[str, Any]) -> None:
+        if "__failed__" in data:
+            report.failed.append((str(cell), data["__failed__"]))
+            if progress:
+                progress(f"FAIL {cell}: {data['__failed__']}")
+            return
+        result = CaseResult.from_json_dict(data)
+        report.results[cell.key] = result
+        if store is not None:
+            store.put_result(cell, result)
+        if progress:
+            progress(f"done {cell}")
 
-    if report.jobs <= 1 or len(missing) == 1:
+    if report.jobs <= 1 or len(missing) <= 1:
         for cell in missing:
             if progress:
                 progress(f"run  {cell}")
-            try:
-                ResultCache.get(cell.app, cell.dataset, cell.label, **cell.kwargs)
-            except DroppedMessageError as exc:
-                report.failed.append((str(cell), str(exc)))
-                if progress:
-                    progress(f"FAIL {cell}: {exc}")
+            finish(cell, _run_cell_json(cell))
         return report
 
     ctx = multiprocessing.get_context("spawn")
@@ -157,14 +170,5 @@ def run_cells(
         for cell, data in zip(
             missing, pool.map(_run_cell_json, missing), strict=True
         ):
-            if "__failed__" in data:
-                report.failed.append((str(cell), data["__failed__"]))
-                if progress:
-                    progress(f"FAIL {cell}: {data['__failed__']}")
-                continue
-            result = CaseResult.from_json_dict(data)
-            ResultCache.put(cell.app, cell.dataset, cell.label, result,
-                            **cell.kwargs)
-            if progress:
-                progress(f"done {cell}")
+            finish(cell, data)
     return report

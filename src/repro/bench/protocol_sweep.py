@@ -34,7 +34,7 @@ from repro.bench.golden import (
     _protocol_extra,
     golden_cells,
 )
-from repro.bench.harness import CaseResult, ResultCache
+from repro.bench.harness import CaseResult, Results, lookup
 from repro.bench.pool import SweepCell
 
 #: Sweep order: the paper's protocol first, then the zoo.
@@ -51,9 +51,9 @@ def cells() -> List[SweepCell]:
     return golden_cells(None, PROTOCOL_ORDER)
 
 
-def _case(app: str, label: str, protocol: str) -> CaseResult:
-    return ResultCache.get(
-        app, SMALL_DATASETS[app], label, **_protocol_extra(protocol)
+def _case(results: Results, app: str, label: str, protocol: str) -> CaseResult:
+    return lookup(
+        results, app, SMALL_DATASETS[app], label, **_protocol_extra(protocol)
     )
 
 
@@ -69,13 +69,15 @@ def stops_paying(times: Dict[str, float]) -> str:
     return best
 
 
-def sweep_rows() -> List[Dict[str, Any]]:
+def sweep_rows(results: Results) -> List[Dict[str, Any]]:
     """Flat per-(app, protocol) rows (CSV-friendly)."""
     rows: List[Dict[str, Any]] = []
     for app in sorted(SMALL_DATASETS):
-        base_tm = _case(app, "4K", "tm-lrc")
+        base_tm = _case(results, app, "4K", "tm-lrc")
         for protocol in PROTOCOL_ORDER:
-            cases = {lb: _case(app, lb, protocol) for lb in GOLDEN_LABELS}
+            cases = {
+                lb: _case(results, app, lb, protocol) for lb in GOLDEN_LABELS
+            }
             times = {lb: c.time_us for lb, c in cases.items()}
             row: Dict[str, Any] = {
                 "app": app,

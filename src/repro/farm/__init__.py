@@ -3,10 +3,11 @@
 Three layers over the deterministic, identity-hashed sweep cells of
 :mod:`repro.bench`:
 
-* **store** (:mod:`repro.farm.store`): a content-addressed result store
-  behind a backend interface -- a local directory byte-compatible with
-  the bench disk cache, or a single-file SQLite database safe for many
-  concurrent writers -- plus a claim/lease work queue;
+* **store** (:mod:`repro.farm.store`): the content-addressed result
+  store every consumer reads through, behind a backend interface -- a
+  local directory (the bench CLI's ``--cache-dir`` layout), or a
+  single-file SQLite database safe for many concurrent writers -- plus
+  a claim/lease work queue;
 * **workers** (:mod:`repro.farm.worker`): coordinator-free work-stealing
   processes that claim pending cells from the shared store, compute
   them bit-identically to any other executor, and publish the results;

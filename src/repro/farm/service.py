@@ -1,11 +1,14 @@
 """Read-only results service over one store.
 
-``python -m repro.farm serve`` exposes the cached sweep cells as HTTP
+``python -m repro.farm serve`` exposes the stored sweep cells as HTTP
 endpoints rendered on demand -- pure stdlib (``http.server``), no write
 path, and **no in-request simulation**: an experiment whose cells are
 not all stored yet answers ``202`` with the list of pending cells (the
-farm workers are the only computers of cells), enforced hard by
-:meth:`repro.bench.harness.ResultCache.set_compute`.
+farm workers are the only computers of cells).  Renderers are pure
+functions of the results handed to them, so a renderer that reads a
+cell its experiment did not declare raises ``KeyError`` (answered
+``500``) instead of simulating, and renders run concurrently without a
+lock.
 
 Endpoints (all ``GET``/``HEAD``):
 
@@ -17,10 +20,11 @@ Endpoints (all ``GET``/``HEAD``):
 ``/v1/experiments/<name>.csv``   flat per-cell golden counters
 ``/v1/cells/<key>.json``       one raw store entry by cell key
 
-Experiment names are the bench CLI's (``table1``, ``figure1``,
-``figure2``, ``figure3``, ``ablation``, ``protocols``) -- the service
-reuses the same cell enumerators and renderers, so its output is
-byte-identical to ``python -m repro.bench <name>`` over a warm cache.
+Experiment names are every registry entry with both cells and a
+renderer (:func:`repro.bench.experiments.servable`: ``ablation``,
+``figure1``..``figure3``, ``protocols``, ``table1``) -- the service
+reads the same registry as the bench CLI, so its output is
+byte-identical to ``python -m repro.bench <name>`` over a warm store.
 
 Caching: complete experiment responses carry a strong ``ETag`` derived
 from the sorted content-addressed cell keys (which hash the code
@@ -35,59 +39,23 @@ import csv
 import hashlib
 import io
 import json
-import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.bench.experiments import cells_of, render, servable
 from repro.bench.golden import GOLDEN_FIELDS
-from repro.bench.harness import CaseResult, PendingCellError, ResultCache
+from repro.bench.harness import CaseResult, Results
 from repro.bench.pool import SweepCell, dedupe_cells
 from repro.farm.store import ResultStore
 from repro.sim.config import DEFAULT_PROTOCOL
 
-#: Experiments served: every bench CLI command with a cell enumerator
-#: (micro measures sync primitives in-process, so it has no cells to
-#: serve from a store).
-EXPERIMENTS = ("table1", "figure1", "figure2", "figure3", "ablation",
-               "protocols")
-
 #: Pending responses list at most this many missing cells.
 MAX_MISSING_LISTED = 50
-
-#: Renderers touch the process-wide ResultCache; one render at a time.
-_RENDER_LOCK = threading.Lock()
 
 
 def experiment_cells(name: str) -> List[SweepCell]:
     """The deduplicated cells one experiment consumes."""
-    from repro.bench.cli import _cells_for
-
-    return dedupe_cells(_cells_for([name]))
-
-
-def _render_text(name: str, cells: Sequence[SweepCell],
-                 results: Sequence[CaseResult]) -> str:
-    """The bench CLI's text rendering, fed exclusively from ``results``.
-
-    Computation is disabled for the duration: if a renderer consumed a
-    cell its enumerator failed to declare, that is a bug
-    (:class:`PendingCellError`), not a license to simulate in-request.
-    """
-    from repro.bench.cli import COMMANDS
-
-    with _RENDER_LOCK:
-        previous_disk = ResultCache.disk()
-        previous_compute = ResultCache.set_compute(False)
-        ResultCache.configure(None)
-        try:
-            for cell, result in zip(cells, results, strict=True):
-                ResultCache.put(
-                    cell.app, cell.dataset, cell.label, result, **cell.kwargs
-                )
-            return COMMANDS[name]()
-        finally:
-            ResultCache.set_compute(previous_compute)
-            ResultCache.configure(previous_disk)
+    return dedupe_cells(cells_of(name))
 
 
 def _cells_etag(cells: Sequence[SweepCell]) -> str:
@@ -97,7 +65,7 @@ def _cells_etag(cells: Sequence[SweepCell]) -> str:
 
 
 def _json_payload(name: str, cells: Sequence[SweepCell],
-                  results: Sequence[CaseResult]) -> Dict[str, Any]:
+                  results: Results) -> Dict[str, Any]:
     return {
         "experiment": name,
         "cells": [
@@ -107,20 +75,20 @@ def _json_payload(name: str, cells: Sequence[SweepCell],
                 "label": cell.label,
                 "extra": dict(cell.extra),
                 "key": cell.key,
-                "result": result.to_json_dict(),
+                "result": results[cell.key].to_json_dict(),
             }
-            for cell, result in zip(cells, results, strict=True)
+            for cell in cells
         ],
     }
 
 
-def _csv_payload(cells: Sequence[SweepCell],
-                 results: Sequence[CaseResult]) -> str:
+def _csv_payload(cells: Sequence[SweepCell], results: Results) -> str:
     buf = io.StringIO()
     fields = ["app", "dataset", "label", "protocol", "key", *GOLDEN_FIELDS]
     writer = csv.DictWriter(buf, fieldnames=fields)
     writer.writeheader()
-    for cell, result in zip(cells, results, strict=True):
+    for cell in cells:
+        result = results[cell.key]
         row: Dict[str, Any] = {
             "app": cell.app,
             "dataset": cell.dataset,
@@ -177,7 +145,7 @@ class FarmService:
             rest = path[len("/v1/experiments/"):]
             if "." in rest:
                 name, fmt = rest.rsplit(".", 1)
-                if name in EXPERIMENTS and fmt in ("json", "csv", "txt"):
+                if name in servable() and fmt in ("json", "csv", "txt"):
                     return self._experiment(name, fmt)
         if path.startswith("/v1/cells/") and path.endswith(".json"):
             key = path[len("/v1/cells/"):-len(".json")]
@@ -191,7 +159,7 @@ class FarmService:
                 "/healthz": "liveness probe",
                 "/v1/status.json": "store and queue counters",
                 "/v1/experiments/<name>.{json,csv,txt}":
-                    f"rendered experiments; names: {', '.join(EXPERIMENTS)}",
+                    f"rendered experiments; names: {', '.join(servable())}",
                 "/v1/cells/<key>.json": "one raw store entry by cell key",
             },
         })
@@ -199,15 +167,15 @@ class FarmService:
     # -- handlers -----------------------------------------------------
     def _fetch(
         self, cells: Sequence[SweepCell]
-    ) -> Tuple[List[CaseResult], List[SweepCell]]:
-        results: List[CaseResult] = []
+    ) -> Tuple[Dict[str, CaseResult], List[SweepCell]]:
+        results: Dict[str, CaseResult] = {}
         missing: List[SweepCell] = []
         for cell in cells:
             result = self.store.get_result(cell)
             if result is None:
                 missing.append(cell)
             else:
-                results.append(result)
+                results[cell.key] = result
         return results, missing
 
     def _experiment(self, name: str, fmt: str) -> _Response:
@@ -234,9 +202,9 @@ class FarmService:
             return _Response.text(200, _csv_payload(cells, results),
                                   etag=etag, content_type="text/csv")
         try:
-            text = _render_text(name, cells, results)
-        except PendingCellError as exc:  # enumerator drift; see docstring
-            return _Response.json(500, {"error": str(exc)})
+            text = render(name, results)
+        except KeyError as exc:  # enumerator drift; see module docstring
+            return _Response.json(500, {"error": str(exc.args[0])})
         return _Response.text(200, text + "\n", etag=etag)
 
     def _cell(self, key: str) -> _Response:

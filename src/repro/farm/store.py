@@ -1,13 +1,15 @@
 """Content-addressed result store with a pluggable backend and a
 claim/lease work queue.
 
-The store holds two things, both keyed by the content-addressed cell key
-of :func:`repro.bench.cache.cell_key` (code version + app + dataset +
-canonical config):
+:class:`ResultStore` is the one home of cell results: the bench CLI, the
+pool, the golden and chaos gates, the farm workers and the results
+service all read and write through it.  It holds two things, both keyed
+by the content-addressed cell key of :func:`repro.bench.cache.cell_key`
+(code version + app + dataset + canonical config):
 
-* **results** -- the same self-describing JSON entries the local disk
-  cache writes (:func:`repro.bench.cache.build_entry`), integrity-digested
-  and validated on read;
+* **results** -- self-describing JSON entries
+  (:func:`repro.bench.cache.build_entry`), integrity-digested and
+  validated on read;
 * a **work queue** -- cells submitted for computation, claimed by
   workers under expiring leases.
 
@@ -23,10 +25,11 @@ abandoned as failed rather than looping forever.
 
 Backends:
 
-* :class:`LocalDirBackend` -- wraps the on-disk layout of
-  :class:`repro.bench.cache.DiskCache` byte-compatibly (a pre-existing
-  cache directory is a warm store and vice versa), with the queue in a
-  ``queue/`` subdirectory.  Claims use ``O_CREAT | O_EXCL`` lease files,
+* :class:`LocalDirBackend` -- one JSON file per cell under the
+  ``<app>-<dataset>-<label>-<key>.json`` names of
+  :func:`repro.bench.cache.entry_filename` (the layout of
+  ``repro_results/cache``, so an existing cache directory is a warm
+  store), with the queue in a ``queue/`` subdirectory.  Claims use ``O_CREAT | O_EXCL`` lease files,
   so they are atomic for any number of processes sharing the directory
   (including over NFS-style shared mounts that honor exclusive create).
 * :class:`SqliteBackend` -- a single-file SQLite database in WAL mode;
@@ -192,11 +195,11 @@ _LEASE_RE = re.compile(r"\.g(\d+)\.lease$")
 
 
 class LocalDirBackend(StoreBackend):
-    """Directory-of-JSON-files backend, byte-compatible with
-    :class:`repro.bench.cache.DiskCache`.
+    """Directory-of-JSON-files backend (the ``--cache-dir`` layout).
 
-    Results live at the directory root under the exact names and bytes
-    the disk cache writes.  The queue lives under ``queue/``: one
+    Results live at the directory root, one
+    :func:`repro.bench.cache.dump_entry` file per cell under its
+    :func:`repro.bench.cache.entry_filename` name.  The queue lives under ``queue/``: one
     ``<key>.cell.json`` item per cell plus one ``<key>.g<N>.lease`` file
     per lease generation.  Exclusive file creation makes lease grants
     atomic; lease files carry ``{worker, expires}`` and fall back to

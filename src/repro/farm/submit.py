@@ -1,85 +1,24 @@
 """Enqueue existing sweeps as farm cells.
 
-Every experiment in the repo already enumerates its sweep cells (that is
-what makes ``--jobs`` prewarming work); ``submit`` reuses those
-enumerators verbatim, so the farm computes exactly the cells the CLI
-renderers will later consume -- same keys, same seeds, same bytes.
-
-Sweep names:
-
-``table1``, ``figure1``, ``figure2``, ``figure3``, ``ablation``
-    The paper experiments (:mod:`repro.bench`).
-``protocols``
-    The protocol x unit-size sweep (all registered protocols).
-``golden``
-    The golden-gate matrix (all apps, smallest datasets, 4K/8K/16K/Dyn),
-    optionally widened per app/protocol via ``apps`` / ``protocols``.
-``chaos``
-    The fault-lab chaos sweep (default plans, seeds ``0..seeds-1``).
+Sweep names and their cells come from the experiment registry
+(:mod:`repro.bench.experiments`), the same table the bench CLI renders
+from, so the farm computes exactly the cells the renderers will later
+consume -- same keys, same seeds, same bytes.  Besides the paper
+experiments, ``golden`` is the golden-gate matrix and ``chaos`` the
+fault-lab chaos sweep (default plans, seeds 0..2).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
+from repro.bench.experiments import cells_of, sweepable
 from repro.bench.pool import SweepCell
 from repro.sim.config import DEFAULT_PROTOCOL
 
 
-def _table1() -> List[SweepCell]:
-    from repro.bench import table1
-
-    return list(table1.cells())
-
-
-def _figure(which: str) -> Callable[[], List[SweepCell]]:
-    def build() -> List[SweepCell]:
-        from repro.bench import figures
-
-        return list(figures.cells(which))
-
-    return build
-
-
-def _ablation() -> List[SweepCell]:
-    from repro.bench import ablation
-
-    return list(ablation.cells())
-
-
-def _protocols() -> List[SweepCell]:
-    from repro.bench import protocol_sweep
-
-    return list(protocol_sweep.cells())
-
-
-def _golden() -> List[SweepCell]:
-    from repro.bench.golden import golden_cells
-
-    return golden_cells()
-
-
-def _chaos() -> List[SweepCell]:
-    from repro.faults.gate import chaos_cells, default_plan
-
-    return chaos_cells([default_plan(seed) for seed in range(3)])
-
-
-#: Sweep name -> cell enumerator.
-SWEEPS: Dict[str, Callable[[], List[SweepCell]]] = {
-    "table1": _table1,
-    "figure1": _figure("figure1"),
-    "figure2": _figure("figure2"),
-    "figure3": _figure("figure3"),
-    "ablation": _ablation,
-    "protocols": _protocols,
-    "golden": _golden,
-    "chaos": _chaos,
-}
-
-
 def sweep_names() -> List[str]:
-    return sorted(SWEEPS)
+    return sweepable()
 
 
 def sweep_cells(
@@ -96,11 +35,11 @@ def sweep_cells(
     """
     cells: List[SweepCell] = []
     for name in names:
-        if name not in SWEEPS:
+        if name not in sweepable():
             raise KeyError(
                 f"unknown sweep {name!r}; have {', '.join(sweep_names())}"
             )
-        cells.extend(SWEEPS[name]())
+        cells.extend(cells_of(name))
     if apps is not None:
         allowed = set(apps)
         cells = [c for c in cells if c.app in allowed]

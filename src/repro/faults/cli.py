@@ -30,7 +30,9 @@ from typing import Optional, Sequence
 
 from repro.bench import cache
 from repro.bench.golden import GOLDEN_DIR, GOLDEN_LABELS, SMALL_DATASETS
-from repro.bench.harness import CaseResult, ResultCache, run_case
+from repro.bench.harness import CaseResult, run_case
+from repro.bench.pool import SweepCell, run_cells
+from repro.farm.store import LocalDirBackend, ResultStore
 from repro.faults.channel import DroppedMessageError
 from repro.faults.gate import FAULT_FIELDS, INVARIANT_FIELDS, run_chaos
 from repro.faults.plan import FaultPlan
@@ -130,10 +132,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument(
         "--cache-dir", type=pathlib.Path, default=cache.DEFAULT_CACHE_DIR,
-        help="on-disk result cache directory (default: %(default)s)",
+        help="result store directory (default: %(default)s)",
     )
     parser.add_argument("--no-cache", action="store_true",
-                        help="disable the on-disk result cache")
+                        help="run without a result store")
     args = parser.parse_args(argv)
 
     if args.chaos_sweep == bool(args.cell):
@@ -148,56 +150,51 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
 
-    previous_disk = ResultCache.disk()
-    ResultCache.configure(
-        None if args.no_cache else cache.DiskCache(args.cache_dir)
-    )
+    store = None if args.no_cache else ResultStore(LocalDirBackend(args.cache_dir))
+    plan = build_plan(args)
+    if args.chaos_sweep:
+        report = run_chaos(
+            seeds=args.seeds,
+            base_seed=args.seed,
+            plan=plan,
+            apps=args.apps.split(",") if args.apps else None,
+            labels=tuple(args.labels.split(",")),
+            jobs=args.jobs,
+            golden_dir=args.golden_dir,
+            progress=lambda msg: print(f"# {msg}", file=sys.stderr),
+            store=store,
+        )
+        print(report.render())
+        return 0 if report.ok else 1
+
+    app, dataset, label = args.cell
+    if app in SMALL_DATASETS and dataset == "small":
+        dataset = SMALL_DATASETS[app]
+    if label not in GOLDEN_LABELS:
+        print(f"error: unknown unit label {label!r}; "
+              f"have {GOLDEN_LABELS}", file=sys.stderr)
+        return 1
+    cell = SweepCell.make(app, dataset, label)
     try:
-        plan = build_plan(args)
-        if args.chaos_sweep:
-            report = run_chaos(
-                seeds=args.seeds,
-                base_seed=args.seed,
-                plan=plan,
-                apps=args.apps.split(",") if args.apps else None,
-                labels=tuple(args.labels.split(",")),
-                jobs=args.jobs,
-                golden_dir=args.golden_dir,
-                progress=lambda msg: print(f"# {msg}", file=sys.stderr),
-            )
-            print(report.render())
-            return 0 if report.ok else 1
-
-        app, dataset, label = args.cell
-        if app in SMALL_DATASETS and dataset == "small":
-            dataset = SMALL_DATASETS[app]
-        if label not in GOLDEN_LABELS:
-            print(f"error: unknown unit label {label!r}; "
-                  f"have {GOLDEN_LABELS}", file=sys.stderr)
-            return 1
-        try:
-            base = ResultCache.get(app, dataset, label)
-        except KeyError as exc:
-            print(f"error: {exc.args[0]}", file=sys.stderr)
-            return 1
-        try:
-            faulty = run_case(app, dataset, label, fault_plan=plan.canonical())
-        except DroppedMessageError as exc:
-            print(f"run failed: {exc}")
-            return 1
-        print(render_single(base, faulty))
-        invariant_ok = all(
-            getattr(base, f) == getattr(faulty, f) for f in INVARIANT_FIELDS
-        )
-        print(
-            "invariant: "
-            + ("OK (only time and fault counters moved)" if invariant_ok
-               else "VIOLATED (** rows above)")
-        )
-        return 0 if invariant_ok else 1
-    finally:
-        ResultCache.configure(previous_disk)
-
+        base = run_cells([cell], store=store).results[cell.key]
+    except KeyError as exc:
+        print(f"error: {exc.args[0]}", file=sys.stderr)
+        return 1
+    try:
+        faulty = run_case(app, dataset, label, fault_plan=plan.canonical())
+    except DroppedMessageError as exc:
+        print(f"run failed: {exc}")
+        return 1
+    print(render_single(base, faulty))
+    invariant_ok = all(
+        getattr(base, f) == getattr(faulty, f) for f in INVARIANT_FIELDS
+    )
+    print(
+        "invariant: "
+        + ("OK (only time and fault counters moved)" if invariant_ok
+           else "VIOLATED (** rows above)")
+    )
+    return 0 if invariant_ok else 1
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import pathlib
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.bench.golden import (
     GOLDEN_DIR,
@@ -37,9 +37,11 @@ from repro.bench.golden import (
     SMALL_DATASETS,
     load_app_golden,
 )
-from repro.bench.harness import ResultCache
 from repro.bench.pool import SweepCell, run_cells
 from repro.faults.plan import FaultPlan, parse_plan
+
+if TYPE_CHECKING:  # pragma: no cover - the store imports the bench pool
+    from repro.farm.store import ResultStore
 
 #: Counters the fault lab is allowed to grow from zero.
 FAULT_FIELDS = (
@@ -208,6 +210,7 @@ def run_chaos(
     jobs: int = 1,
     golden_dir: pathlib.Path = GOLDEN_DIR,
     progress: Optional[Callable[[str], None]] = None,
+    store: Optional[ResultStore] = None,
 ) -> ChaosReport:
     """Run the chaos sweep and judge every cell against the baselines.
 
@@ -218,7 +221,7 @@ def run_chaos(
     report = ChaosReport(plan=base, seeds=[p.seed for p in plans])
 
     cells = chaos_cells(plans, apps=apps, labels=labels)
-    sweep = run_cells(cells, jobs=jobs, progress=progress)
+    sweep = run_cells(cells, jobs, store, progress)
     report.sweep_summary = sweep.summary()
     failed = dict(sweep.failed)
 
@@ -245,8 +248,7 @@ def run_chaos(
                 "--refresh-golden` and commit the result)"
             )
             continue
-        case = ResultCache.get(cell.app, cell.dataset, cell.label,
-                               **cell.kwargs)
+        case = sweep.results[cell.key]
         verdict.time_us = case.time_us
         verdict.golden_time_us = golden.get("time_us", 0.0)
         verdict.retransmissions = case.retransmissions

@@ -1,4 +1,5 @@
-"""On-disk result cache: keying, invalidation, round-trip fidelity."""
+"""Result keys and the directory store: keying, invalidation, round-trip
+fidelity."""
 
 import json
 
@@ -6,18 +7,26 @@ import pytest
 
 from repro.bench.cache import (
     CACHE_SCHEMA,
-    DiskCache,
     cell_key,
     cell_seed,
     code_version,
+    entry_filename,
 )
-from repro.bench.harness import CaseResult, ResultCache, config_for, run_case
+from repro.bench.harness import CaseResult, config_for, run_case
+from repro.bench.pool import SweepCell, run_cells
+from repro.farm.store import LocalDirBackend, ResultStore
 from repro.sim.config import SimConfig
+
+CELL = SweepCell.make("Jacobi", "1Kx1K", "4K")
 
 
 @pytest.fixture
 def case():
     return run_case("Jacobi", "1Kx1K", "4K")
+
+
+def _entry_path(root):
+    return root / entry_filename(CELL.app, CELL.dataset, CELL.label, CELL.key)
 
 
 class TestKeys:
@@ -57,67 +66,50 @@ class TestKeys:
         assert s != cell_seed("Jacobi", "1Kx1K", cfg.replace(unit_pages=2))
 
 
-class TestDiskCache:
+class TestCacheDir:
+    """The ``--cache-dir`` layout, read and written through the store."""
+
     def test_roundtrip_is_lossless(self, tmp_path, case):
-        disk = DiskCache(tmp_path)
-        cfg = config_for("4K")
-        disk.store("Jacobi", "1Kx1K", "4K", cfg, case)
-        loaded = disk.load("Jacobi", "1Kx1K", "4K", cfg)
-        assert loaded == case  # field-for-field, floats exact
-        assert disk.hits == 1 and disk.stores == 1
+        store = ResultStore(LocalDirBackend(tmp_path))
+        store.put_result(CELL, case)
+        assert store.get_result(CELL) == case  # field-for-field, floats exact
+        assert store.hits == 1 and store.misses == 0
 
     def test_miss_on_absent_entry(self, tmp_path):
-        disk = DiskCache(tmp_path)
-        assert disk.load("Jacobi", "1Kx1K", "4K", config_for("4K")) is None
-        assert disk.misses == 1
+        store = ResultStore(LocalDirBackend(tmp_path))
+        assert store.get_result(CELL) is None
+        assert store.misses == 1
 
     def test_miss_on_corrupt_entry(self, tmp_path, case):
-        disk = DiskCache(tmp_path)
-        cfg = config_for("4K")
-        path = disk.store("Jacobi", "1Kx1K", "4K", cfg, case)
-        path.write_text("{ not json")
-        assert disk.load("Jacobi", "1Kx1K", "4K", cfg) is None
+        store = ResultStore(LocalDirBackend(tmp_path))
+        store.put_result(CELL, case)
+        _entry_path(tmp_path).write_text("{ not json")
+        assert store.get_result(CELL) is None
 
     def test_miss_on_schema_bump(self, tmp_path, case):
-        disk = DiskCache(tmp_path)
-        cfg = config_for("4K")
-        path = disk.store("Jacobi", "1Kx1K", "4K", cfg, case)
+        store = ResultStore(LocalDirBackend(tmp_path))
+        store.put_result(CELL, case)
+        path = _entry_path(tmp_path)
         entry = json.loads(path.read_text())
         entry["schema"] = CACHE_SCHEMA + 1
         path.write_text(json.dumps(entry))
-        assert disk.load("Jacobi", "1Kx1K", "4K", cfg) is None
+        assert store.get_result(CELL) is None
 
     def test_entry_names_are_readable(self, tmp_path, case):
-        disk = DiskCache(tmp_path)
-        path = disk.store("Jacobi", "1Kx1K", "4K", config_for("4K"), case)
+        ResultStore(LocalDirBackend(tmp_path)).put_result(CELL, case)
+        [path] = tmp_path.glob("*.json")
         assert path.name.startswith("Jacobi-1Kx1K-4K-")
 
-    def test_clear(self, tmp_path, case):
-        disk = DiskCache(tmp_path)
-        disk.store("Jacobi", "1Kx1K", "4K", config_for("4K"), case)
-        assert len(disk) == 1
-        assert disk.clear() == 1
-        assert len(disk) == 0
 
-
-class TestResultCacheDiskLayer:
-    def test_second_process_equivalent_load(self, tmp_path):
-        """A fresh in-memory cache (i.e. a new invocation) is served from
-        disk without re-running the simulation."""
-        disk = DiskCache(tmp_path)
-        old = ResultCache.disk()
-        try:
-            ResultCache.configure(disk)
-            ResultCache.clear()
-            first = ResultCache.get("Jacobi", "1Kx1K", "4K")
-            assert disk.stores == 1
-            ResultCache.clear()  # simulate a new process
-            again = ResultCache.get("Jacobi", "1Kx1K", "4K")
-            assert disk.hits == 1
-            assert again == first
-        finally:
-            ResultCache.configure(old)
-            ResultCache.clear()
+class TestStoreLayer:
+    def test_second_process_is_served_from_store(self, tmp_path):
+        """A fresh store over the same directory (i.e. a new invocation)
+        is served without re-running the simulation."""
+        first = run_cells([CELL], store=ResultStore(LocalDirBackend(tmp_path)))
+        assert first.ran == 1
+        again = run_cells([CELL], store=ResultStore(LocalDirBackend(tmp_path)))
+        assert again.ran == 0 and again.cached == 1
+        assert again.results == first.results
 
 
 class TestCaseResultJson:

@@ -15,12 +15,13 @@ from repro.bench.golden import (
     compare_case,
     golden_cells,
 )
-from repro.bench.harness import ResultCache
+from repro.bench.pool import SweepCell, run_cells
 
 
 @pytest.fixture(scope="module")
-def case():
-    return ResultCache.get("Jacobi", "1Kx1K", "4K")
+def case(session_store):
+    cell = SweepCell.make("Jacobi", "1Kx1K", "4K")
+    return run_cells([cell], store=session_store).results[cell.key]
 
 
 class TestMatrix:
@@ -63,27 +64,37 @@ class TestCompare:
 
 
 class TestWriteAndCheck:
-    def test_refresh_then_check_roundtrip(self, tmp_path):
-        written = golden.write_golden(tmp_path, apps=["Jacobi"], jobs=1)
+    def test_refresh_then_check_roundtrip(self, tmp_path, session_store):
+        written = golden.write_golden(
+            tmp_path, apps=["Jacobi"], jobs=1, store=session_store
+        )
         assert [p.name for p in written] == ["Jacobi.json"]
-        report = golden.check(tmp_path, apps=["Jacobi"], jobs=1)
+        report = golden.check(
+            tmp_path, apps=["Jacobi"], jobs=1, store=session_store
+        )
         assert report.ok
         assert report.cells_checked == len(GOLDEN_LABELS)
         assert "OK" in report.render()
 
-    def test_missing_baseline_fails_with_hint(self, tmp_path):
-        report = golden.check(tmp_path, apps=["Jacobi"], jobs=1)
+    def test_missing_baseline_fails_with_hint(self, tmp_path, session_store):
+        report = golden.check(
+            tmp_path, apps=["Jacobi"], jobs=1, store=session_store
+        )
         assert not report.ok
         assert len(report.missing) == len(GOLDEN_LABELS)
         assert "--refresh-golden" in report.render()
 
-    def test_perturbed_counter_fails_readably(self, tmp_path):
-        golden.write_golden(tmp_path, apps=["Jacobi"], jobs=1)
+    def test_perturbed_counter_fails_readably(self, tmp_path, session_store):
+        golden.write_golden(
+            tmp_path, apps=["Jacobi"], jobs=1, store=session_store
+        )
         path = tmp_path / "Jacobi.json"
         entry = json.loads(path.read_text())
         entry["1Kx1K"]["4K"]["useful_messages"] += 3
         path.write_text(json.dumps(entry))
-        report = golden.check(tmp_path, apps=["Jacobi"], jobs=1)
+        report = golden.check(
+            tmp_path, apps=["Jacobi"], jobs=1, store=session_store
+        )
         assert not report.ok
         [m] = report.mismatches
         assert m.field == "useful_messages"

@@ -1,17 +1,19 @@
-"""Harness machinery: configs, caching, rendering, CSV."""
+"""Harness machinery: configs, result lookup, rendering, CSV."""
 
 import pytest
 
+from repro.bench.cache import cell_key
 from repro.bench.harness import (
     UNIT_LABELS,
     CaseResult,
-    ResultCache,
     config_for,
+    lookup,
     render_breakdown_table,
     render_signature,
     run_case,
     write_csv,
 )
+from repro.bench.pool import SweepCell, run_cells
 
 
 class TestConfigFor:
@@ -47,31 +49,39 @@ class TestRunCase:
         assert c.total_messages == 0
 
 
+def _results(*cells):
+    """A results mapping holding a distinct sentinel per cell key."""
+    return {SweepCell.make(*c[:3], **c[3]).key: object() for c in cells}
+
+
 class TestCache:
-    def test_cache_hits_are_identical_objects(self):
-        ResultCache.clear()
-        a = ResultCache.get("Jacobi", "1Kx1K", "4K")
-        b = ResultCache.get("Jacobi", "1Kx1K", "4K")
-        assert a is b
+    """Renderers find cells through ``lookup``, keyed by the resolved
+    config: distinct overrides never alias, equivalent spellings share
+    one entry, and an undeclared cell is a ``KeyError``."""
 
     def test_extra_kwargs_key_cache_separately(self):
         """Regression: cells differing only in ``**extra`` overrides must
-        never alias one cache entry -- keys hash the fully resolved
-        SimConfig, so every config field participates."""
-        ResultCache.clear()
-        a = ResultCache.get("Jacobi", "1Kx1K", "Dyn", max_group_pages=2)
-        b = ResultCache.get("Jacobi", "1Kx1K", "Dyn", max_group_pages=8)
+        never alias one entry -- keys hash the fully resolved SimConfig,
+        so every config field participates."""
+        results = _results(
+            ("Jacobi", "1Kx1K", "Dyn", {"max_group_pages": 2}),
+            ("Jacobi", "1Kx1K", "Dyn", {"max_group_pages": 8}),
+            ("Jacobi", "1Kx1K", "Dyn", {}),
+        )
+        a = lookup(results, "Jacobi", "1Kx1K", "Dyn", max_group_pages=2)
+        b = lookup(results, "Jacobi", "1Kx1K", "Dyn", max_group_pages=8)
         assert a is not b
-        # And the non-default cell really behaved differently from the
-        # default-keyed one (an alias would have returned equal counters).
-        assert ResultCache.get("Jacobi", "1Kx1K", "Dyn") is not a
+        assert lookup(results, "Jacobi", "1Kx1K", "Dyn") is not a
+        with pytest.raises(KeyError, match="max_group_pages=4"):
+            lookup(results, "Jacobi", "1Kx1K", "Dyn", max_group_pages=4)
 
     def test_boolean_extras_key_cache_separately(self):
-        from repro.bench.cache import cell_key
-
-        ResultCache.clear()
-        on = ResultCache.get("Jacobi", "1Kx1K", "16K", parallel_fetch=True)
-        off = ResultCache.get("Jacobi", "1Kx1K", "16K", parallel_fetch=False)
+        results = _results(
+            ("Jacobi", "1Kx1K", "16K", {"parallel_fetch": True}),
+            ("Jacobi", "1Kx1K", "16K", {"parallel_fetch": False}),
+        )
+        on = lookup(results, "Jacobi", "1Kx1K", "16K", parallel_fetch=True)
+        off = lookup(results, "Jacobi", "1Kx1K", "16K", parallel_fetch=False)
         assert on is not off
         assert cell_key(
             "Jacobi", "1Kx1K", config_for("16K", parallel_fetch=True)
@@ -81,21 +91,35 @@ class TestCache:
 
     def test_equivalent_spellings_share_one_entry(self):
         """The dual property: two spellings resolving to the same config
-        must hit one entry (no duplicate simulation work)."""
-        ResultCache.clear()
-        a = ResultCache.get("Jacobi", "1Kx1K", "4K")
-        b = ResultCache.get("Jacobi", "1Kx1K", "4K", unit_pages=1)
-        c = ResultCache.get("Jacobi", "1Kx1K", "16K", parallel_fetch=True)
-        d = ResultCache.get("Jacobi", "1Kx1K", "16K")
+        find one entry (no duplicate simulation work)."""
+        results = _results(
+            ("Jacobi", "1Kx1K", "4K", {}),
+            ("Jacobi", "1Kx1K", "16K", {"parallel_fetch": True}),
+        )
+        a = lookup(results, "Jacobi", "1Kx1K", "4K")
+        b = lookup(results, "Jacobi", "1Kx1K", "4K", unit_pages=1)
+        c = lookup(results, "Jacobi", "1Kx1K", "16K", parallel_fetch=True)
+        d = lookup(results, "Jacobi", "1Kx1K", "16K")
         assert a is b
         assert c is d
+
+    def test_undeclared_cell_is_a_key_error(self):
+        results = _results(("Jacobi", "1Kx1K", "4K", {}))
+        with pytest.raises(KeyError, match="Jacobi/1Kx1K@8K"):
+            lookup(results, "Jacobi", "1Kx1K", "8K")
+        with pytest.raises(KeyError, match="MGS/1Kx1K@4K"):
+            lookup(results, "MGS", "1Kx1K", "4K")
 
 
 class TestRendering:
     @pytest.fixture(scope="class")
-    def cells(self):
+    def cells(self, session_store):
+        results = run_cells(
+            [SweepCell.make("Jacobi", "1Kx1K", lb) for lb in UNIT_LABELS],
+            store=session_store,
+        ).results
         return {
-            label: ResultCache.get("Jacobi", "1Kx1K", label)
+            label: lookup(results, "Jacobi", "1Kx1K", label)
             for label in UNIT_LABELS
         }
 

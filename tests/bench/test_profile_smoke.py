@@ -9,6 +9,7 @@ consumes them).
 
 import dataclasses
 import json
+import time
 
 from repro.bench import profile
 from repro.bench.harness import run_case
@@ -33,3 +34,17 @@ def test_profiling_is_observational():
     report = profile.run_profile(CASE)
     baseline = run_case("Jacobi", "1Kx1K", "4K")
     assert dataclasses.asdict(report.case) == dataclasses.asdict(baseline)
+
+
+def test_reported_wall_is_process_wall_not_thread_sum():
+    """Wall time is measured around the run, so it can never exceed the
+    elapsed time of the call; the summed per-thread figure is reported
+    separately as the all-threads total."""
+    # Host time is what this test measures; nothing simulated reads it.
+    t0 = time.perf_counter()  # detlint: ok(wall-clock)
+    report = profile.run_profile(CASE)
+    elapsed = time.perf_counter() - t0  # detlint: ok(wall-clock)
+    assert 0.0 < report.wall_s <= elapsed
+    assert report.threads_total_s > 0.0
+    assert "all-threads total" in report.render()
+    assert report.to_json_dict()["threads_total_s"] == report.threads_total_s

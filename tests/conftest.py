@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.apps.base import Application, get_app, run_app
+from repro.farm.store import LocalDirBackend, ResultStore
 from repro.sim.config import SimConfig
 
 
@@ -32,6 +33,14 @@ def tiny_app(name: str) -> tuple:
 def checksum_close(app: Application, a: float, b: float) -> bool:
     """Compare checksums under the application's tolerance."""
     return abs(a - b) <= max(app.checksum_rtol * abs(b), 1e-9)
+
+
+@pytest.fixture(scope="session")
+def session_store(tmp_path_factory) -> ResultStore:
+    """One result store for the whole session: tests that read the same
+    cells (the golden integration tests, the harness renderers) share
+    them through it, so each cell is simulated once per session."""
+    return ResultStore(LocalDirBackend(tmp_path_factory.mktemp("results")))
 
 
 @pytest.fixture

@@ -12,7 +12,6 @@ import json
 
 from repro.bench.cache import (
     CACHE_SCHEMA,
-    DiskCache,
     build_entry,
     cell_key,
     code_version,
@@ -22,7 +21,7 @@ from repro.bench.cache import (
     sanitize_component,
 )
 from repro.bench.harness import config_for
-from repro.farm.store import LocalDirBackend
+from repro.farm.store import LocalDirBackend, ResultStore
 from repro.sim.config import SimConfig
 
 
@@ -81,8 +80,8 @@ class TestKeyStability:
 
 
 class TestPreDigestEntries:
-    """Entries written before this PR carry no ``digest`` field; both
-    readers must treat them as hits, not misses."""
+    """Entries written before integrity digests existed carry no
+    ``digest`` field; the store must treat them as hits, not misses."""
 
     def _write_old_entry(self, root, cell, result):
         config = config_for(cell.label, **cell.kwargs)
@@ -101,11 +100,9 @@ class TestPreDigestEntries:
     ):
         cell = jacobi_cells["8K"]
         self._write_old_entry(tmp_path, cell, jacobi_results["8K"])
-        cache = DiskCache(tmp_path)
-        got = cache.load(cell.app, cell.dataset, cell.label,
-                         config_for(cell.label, **cell.kwargs))
-        assert got == jacobi_results["8K"]
-        assert cache.hits == 1 and cache.misses == 0
+        store = ResultStore(LocalDirBackend(tmp_path))
+        assert store.get_result(cell) == jacobi_results["8K"]
+        assert store.hits == 1 and store.misses == 0
 
     def test_local_backend_reads_pre_digest_entry(
         self, tmp_path, jacobi_cells, jacobi_results
@@ -126,10 +123,10 @@ class TestPreDigestEntries:
         cell = jacobi_cells["8K"]
         old = self._write_old_entry(tmp_path / "old", cell,
                                     jacobi_results["8K"])
-        cache = DiskCache(tmp_path / "new")
-        path = cache.store(cell.app, cell.dataset, cell.label,
-                           config_for(cell.label, **cell.kwargs),
-                           jacobi_results["8K"])
+        ResultStore(LocalDirBackend(tmp_path / "new")).put_result(
+            cell, jacobi_results["8K"]
+        )
+        [path] = (tmp_path / "new").glob("*.json")
         assert path.name == entry_filename(
             cell.app, cell.dataset, cell.label, cell.key
         )

@@ -3,22 +3,25 @@
 Figure 1 is narrowed to the four precomputed Jacobi cells
 (``FIGURE1_CASES`` monkeypatched) so the suite renders real bench
 output from a store without running the paper's full coarse-grained
-sweep.  One test binds a real socket to exercise the HTTP layer
-(``If-None-Match`` revalidation); everything else drives
-:class:`FarmService` directly.
+sweep; the protocol sweep's store is filled with those Jacobi results
+under every one of its cell keys (renderers only read by key).  One
+test binds a real socket to exercise the HTTP layer (``If-None-Match``
+revalidation); everything else drives :class:`FarmService` directly.
 """
 
 import json
+import sys
 import threading
 import urllib.error
 import urllib.request
 
 import pytest
 
-from repro.bench import figures
+from repro.bench import figures, harness, pool
+from repro.bench.experiments import EXPERIMENTS, Experiment
 from repro.bench.golden import GOLDEN_FIELDS
-from repro.bench.harness import ResultCache
-from repro.farm.service import FarmService, make_server
+from repro.bench.harness import lookup
+from repro.farm.service import FarmService, experiment_cells, make_server
 from repro.farm.store import open_store
 
 JACOBI_ONLY = [("Jacobi", "1Kx1K")]
@@ -136,9 +139,8 @@ class TestExperiments:
         assert all(line.startswith("Jacobi,1Kx1K,") for line in lines[1:])
 
     def test_complete_experiment_txt_renders_bench_output(
-        self, full_store, jacobi_figure1
+        self, full_store, jacobi_figure1, jacobi_cells, jacobi_results
     ):
-        previous_compute = ResultCache._compute
         response = FarmService(full_store).handle(
             "/v1/experiments/figure1.txt"
         )
@@ -146,9 +148,34 @@ class TestExperiments:
         text = response.body.decode()
         assert "Figure 1" in text
         assert "Jacobi" in text
-        # Rendering restored the process-wide cache knobs.
-        assert ResultCache._compute == previous_compute
-        assert ResultCache.disk() is None
+        # Byte-identical to the bench CLI's rendering of the same cells.
+        results = {
+            cell.key: jacobi_results[label]
+            for label, cell in jacobi_cells.items()
+        }
+        assert text == EXPERIMENTS["figure1"].render(results) + "\n"
+
+    def test_undeclared_cell_is_a_500_not_a_simulation(
+        self, full_store, jacobi_figure1, monkeypatch
+    ):
+        """A renderer that reads a cell its experiment did not declare
+        fails the request; nothing is simulated or stored."""
+        monkeypatch.setattr(harness, "run_case", _no_simulation)
+        monkeypatch.setattr(pool, "run_case", _no_simulation)
+        monkeypatch.setitem(EXPERIMENTS, "figure1", Experiment(
+            EXPERIMENTS["figure1"].cells,
+            lambda r: lookup(r, "Jacobi", "1Kx1K", "Dyn",
+                             max_group_pages=3).app,
+        ))
+        before = full_store.backend.result_count()
+        response = FarmService(full_store).handle(
+            "/v1/experiments/figure1.txt"
+        )
+        assert response.status == 500
+        assert "Jacobi/1Kx1K@Dyn max_group_pages=3" in _json_body(
+            response
+        )["error"]
+        assert full_store.backend.result_count() == before
 
 
 class TestCells:
@@ -224,3 +251,64 @@ class TestHTTP:
         with urllib.request.urlopen(request) as resp:
             assert resp.status == 200
             assert resp.read() == b""
+
+
+def _no_simulation(*args, **kwargs):
+    raise AssertionError("the service must never simulate in-request")
+
+
+class TestConcurrentRender:
+    @pytest.fixture()
+    def served_store(self, full_store, jacobi_figure1, jacobi_results):
+        for cell in experiment_cells("protocols"):
+            full_store.put_result(cell, jacobi_results[cell.label])
+        return full_store
+
+    def test_parallel_renders_match_serial_without_simulating(
+        self, served_store, monkeypatch
+    ):
+        """Renders share no state, so concurrent requests (more threads
+        than cores, with a short switch interval) get byte-identical
+        bodies and never simulate."""
+        monkeypatch.setattr(harness, "run_case", _no_simulation)
+        monkeypatch.setattr(pool, "run_case", _no_simulation)
+        svc = FarmService(served_store)
+        paths = ("/v1/experiments/figure1.txt",
+                 "/v1/experiments/protocols.txt")
+        serial = {path: svc.handle(path) for path in paths}
+        assert all(r.status == 200 for r in serial.values())
+        nthreads = 4
+        start = threading.Barrier(nthreads)
+        bodies = {path: [] for path in paths}
+        errors = []
+
+        def render(order):
+            start.wait()
+            try:
+                for _ in range(3):
+                    for path in order:
+                        bodies[path].append(svc.handle(path))
+            except Exception as exc:  # surfaced below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=render, args=(paths[::(-1) ** i],))
+            for i in range(nthreads)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        for path in paths:
+            assert len(bodies[path]) == 3 * nthreads
+            for response in bodies[path]:
+                assert response.status == 200
+                assert response.body == serial[path].body
+                assert response.etag == serial[path].etag

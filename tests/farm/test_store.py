@@ -7,7 +7,7 @@ import multiprocessing
 
 import pytest
 
-from repro.bench.cache import build_entry
+from repro.bench.cache import build_entry, dump_entry, entry_filename
 from repro.bench.harness import config_for
 from repro.bench.pool import SweepCell
 from repro.farm.store import (
@@ -237,28 +237,24 @@ class TestParity:
 
     def test_entry_bytes_parity_with_disk_cache(self, tmp_path, jacobi_cells,
                                                 jacobi_results):
-        """LocalDirBackend writes byte-identical files to DiskCache, so a
-        bench cache directory is a warm farm store and vice versa."""
-        from repro.bench.cache import DiskCache
-
+        """An existing ``repro_results/cache`` directory is a warm store:
+        an entry at the pinned file name, in the pinned serialization, is
+        read by LocalDirBackend, and the store writes exactly those
+        bytes under exactly that name."""
         cell = jacobi_cells["4K"]
-        cache = DiskCache(tmp_path / "a")
-        cache_path = cache.store(
-            cell.app, cell.dataset, cell.label, config_for(cell.label),
-            jacobi_results["4K"],
-        )
-        store = ResultStore(LocalDirBackend(tmp_path / "b"))
-        store.put_result(cell, jacobi_results["4K"])
-        farm_path = tmp_path / "b" / cache_path.name
-        assert farm_path.is_file()
-        assert farm_path.read_bytes() == cache_path.read_bytes()
-        # Cross-reads: each layer loads the other's file.
-        assert DiskCache(tmp_path / "b").load(
-            cell.app, cell.dataset, cell.label, config_for(cell.label)
-        ) == jacobi_results["4K"]
+        entry = build_entry(cell.app, cell.dataset, cell.label,
+                            config_for(cell.label), jacobi_results["4K"])
+        name = entry_filename(cell.app, cell.dataset, cell.label, cell.key)
+        (tmp_path / "a").mkdir()
+        (tmp_path / "a" / name).write_text(dump_entry(entry))
         assert ResultStore(LocalDirBackend(tmp_path / "a")).get_result(
             cell
         ) == jacobi_results["4K"]
+        store = ResultStore(LocalDirBackend(tmp_path / "b"))
+        store.put_result(cell, jacobi_results["4K"])
+        assert (tmp_path / "b" / name).read_bytes() == (
+            tmp_path / "a" / name
+        ).read_bytes()
 
 
 # ----------------------------------------------------------------------

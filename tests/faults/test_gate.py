@@ -5,7 +5,6 @@ import json
 import pytest
 
 from repro.bench.golden import GOLDEN_DIR, GOLDEN_FIELDS, SMALL_DATASETS
-from repro.bench.harness import ResultCache
 from repro.bench.pool import SweepCell, run_cells
 from repro.faults.gate import (
     FAULT_FIELDS,
@@ -15,13 +14,6 @@ from repro.faults.gate import (
     run_chaos,
 )
 from repro.faults.plan import FaultPlan
-
-
-@pytest.fixture(autouse=True)
-def fresh_cache():
-    ResultCache.clear()
-    yield
-    ResultCache.clear()
 
 
 def test_field_taxonomy_partitions_golden_fields():
@@ -114,7 +106,6 @@ def test_pool_isolates_failed_cells():
     assert len(report.failed) == 1
     assert report.failed[0][0] == str(bad_cell)
     assert "failed" in report.summary()
-    # The healthy cell completed and is cached.
-    assert ResultCache.cached(ok_cell.app, ok_cell.dataset, ok_cell.label)
-    assert not ResultCache.cached(bad_cell.app, bad_cell.dataset,
-                                  bad_cell.label, **bad_cell.kwargs)
+    # The healthy cell completed and is among the results.
+    assert ok_cell.key in report.results
+    assert bad_cell.key not in report.results

@@ -15,13 +15,17 @@ import pytest
 
 from repro.bench import golden
 from repro.bench.golden import (
+    ARTIFACT_DIR,
+    GATED_ARTIFACTS,
     GOLDEN_DIR,
     GOLDEN_LABELS,
     SMALL_DATASETS,
     compare_case,
+    golden_cells,
     load_app_golden,
 )
-from repro.bench.harness import ResultCache
+from repro.bench.harness import lookup
+from repro.bench.pool import run_cells
 
 
 def test_baselines_are_committed_for_all_eight_apps():
@@ -34,16 +38,17 @@ def test_baselines_are_committed_for_all_eight_apps():
 
 
 @pytest.mark.parametrize("app", sorted(SMALL_DATASETS))
-def test_app_matches_golden_baselines(app):
+def test_app_matches_golden_baselines(app, session_store):
     """One exact-match check per application (split per app so a failure
     names the culprit and the rest still report)."""
     ds = SMALL_DATASETS[app]
     gold = load_app_golden(GOLDEN_DIR, app)
+    results = run_cells(golden_cells([app]), store=session_store).results
     mismatches = []
     for label in GOLDEN_LABELS:
         entry = gold.get(ds, {}).get(label)
         assert entry is not None, f"no baseline for {app}/{ds}@{label}"
-        case = ResultCache.get(app, ds, label)
+        case = lookup(results, app, ds, label)
         mismatches.extend(compare_case(f"{app}/{ds}@{label}", case, entry))
     assert not mismatches, "\n" + "\n".join(m.render() for m in mismatches)
 
@@ -55,15 +60,39 @@ def test_micro_matches_golden_baselines():
     assert micro.snapshot(micro.run_all()) == gold
 
 
-def test_full_check_passes_and_is_deterministic():
+def test_full_check_passes_and_is_deterministic(session_store):
     """The gate itself: repro.bench.golden.check over the committed
-    baselines (pure cache hits after the per-app tests above)."""
-    report = golden.check(GOLDEN_DIR, jobs=1)
+    baselines, including the committed figure renderings it re-renders
+    from those cells."""
+    report = golden.check(GOLDEN_DIR, jobs=1, store=session_store)
     assert report.ok, "\n" + report.render()
     assert report.cells_checked == 8 * len(GOLDEN_LABELS) + 5  # + 5 micro
+    assert report.artifacts_checked == len(GATED_ARTIFACTS) == 2
 
 
-def test_perturbed_baseline_fails_with_readable_diff(tmp_path):
+def test_stale_committed_rendering_fails_the_gate(
+    tmp_path, session_store, monkeypatch
+):
+    """A committed figure that no longer matches a fresh render of the
+    gate's own cells fails the check with a diff and the regen command."""
+    (tmp_path / "figure3.txt").write_text(
+        (ARTIFACT_DIR / "figure3.txt").read_text()
+    )
+    stale = (ARTIFACT_DIR / "figure1.txt").read_text().replace(
+        "--- Water 512", "--- Water 511", 1
+    )
+    (tmp_path / "figure1.txt").write_text(stale)
+    monkeypatch.setattr(golden, "ARTIFACT_DIR", tmp_path)
+    report = golden.check(GOLDEN_DIR, store=session_store)
+    assert not report.ok
+    assert not report.mismatches and not report.missing
+    [entry] = report.stale
+    assert "figure1.txt" in entry and "--- Water 511" in entry
+    assert "python -m repro.bench figure1 --out" in entry
+    assert "1 stale artifact(s)" in report.render()
+
+
+def test_perturbed_baseline_fails_with_readable_diff(tmp_path, session_store):
     """Acceptance property: a perturbed counter produces a field-level
     diff naming the cell, the expected and actual values, and the delta."""
     bad_dir = tmp_path / "golden"
@@ -78,7 +107,7 @@ def test_perturbed_baseline_fails_with_readable_diff(tmp_path):
     entry["1Kx1K"]["8K"]["useless_messages"] -= 13
     path.write_text(json.dumps(entry))
 
-    report = golden.check(bad_dir, jobs=1)
+    report = golden.check(bad_dir, jobs=1, store=session_store)
     assert not report.ok
     [m] = report.mismatches
     assert m.where == "MGS/1Kx1K@8K" and m.field == "useless_messages"
