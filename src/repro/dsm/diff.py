@@ -96,18 +96,20 @@ def merge_diffs(diffs: "list[Diff]") -> Diff:
             raise ValueError(f"cannot merge diffs of units {unit} and {d.unit}")
     if len(diffs) == 1:
         return diffs[0]
-    idx = np.concatenate([d.idx for d in diffs])
-    values = np.concatenate([d.values for d in diffs])
-    # Keep the LAST occurrence of every word offset (latest interval
-    # wins): np.unique on the reversed stream returns first occurrences,
-    # which are last occurrences of the original order.
-    rev_idx = idx[::-1]
-    uniq, first_pos = np.unique(rev_idx, return_index=True)
-    merged_vals = values[::-1][first_pos]
-    uniq = uniq.astype(np.int32)
+    # Sort-free coalescing: scatter the chain in interval order into a
+    # value buffer covering the unit's touched prefix, so later
+    # intervals overwrite earlier ones, then read the touched words back
+    # in ascending offset order.
+    size = 1 + max((int(d.idx[-1]) for d in diffs if d.nwords), default=-1)
+    buf = np.empty(size, dtype=np.uint32)
+    touched = np.zeros(size, dtype=bool)
+    for d in diffs:
+        buf[d.idx] = d.values
+        touched[d.idx] = True
+    idx = np.flatnonzero(touched).astype(np.int32)
     return Diff(
-        unit=unit, idx=uniq, values=merged_vals, wire_bytes=_wire_bytes(uniq),
-        nwords=int(uniq.shape[0]),
+        unit=unit, idx=idx, values=buf[idx], wire_bytes=_wire_bytes(idx),
+        nwords=int(idx.shape[0]),
     )
 
 
@@ -170,12 +172,23 @@ def decode_payload(unit: int, payload: bytes) -> Diff:
 
 
 def apply_diff(diff: Diff, unit_words: np.ndarray) -> None:
-    """Patch ``diff`` into a uint32 view of the target unit, in place."""
-    if diff.nwords == 0:
+    """Patch ``diff`` into a uint32 view of the target unit, in place.
+
+    A diff whose offsets form one contiguous run (the common case: a
+    writer that rewrote a whole row or block) is installed by slice
+    assignment instead of fancy indexing."""
+    n = diff.nwords
+    if n == 0:
         return
-    if int(diff.idx[-1]) >= unit_words.shape[0]:
+    idx = diff.idx
+    hi = int(idx[-1]) + 1
+    if hi > unit_words.shape[0]:
         raise IndexError(
-            f"diff touches word {int(diff.idx[-1])} beyond unit of "
+            f"diff touches word {hi - 1} beyond unit of "
             f"{unit_words.shape[0]} words"
         )
-    unit_words[diff.idx] = diff.values
+    lo = int(idx[0])
+    if hi - lo == n:
+        unit_words[lo:hi] = diff.values
+    else:
+        unit_words[idx] = diff.values

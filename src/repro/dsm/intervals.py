@@ -85,11 +85,13 @@ class IntervalStore:
         self._commit_counter = 0
         self.collected = 0
         """Intervals reclaimed by :meth:`collect` over the run."""
-        self.diff_scan_cache = set()
-        """Keys (proc, unit, first_index, last_index) of coalesced diffs
-        already created: TreadMarks keeps created diffs in a diff cache,
-        so later requests for the same span are served without another
-        word-compare scan."""
+        self.diff_cache: Dict[Tuple[int, int, int, int], Diff] = {}
+        """TreadMarks' diff cache: writer span ``(proc, unit,
+        first_index, last_index)`` -> the coalesced :class:`Diff` of
+        ``proc``'s consecutive intervals ``first..last`` that wrote
+        ``unit``.  A span's word-compare scan is charged once, when its
+        diff is first built; every later request for the same span is
+        served from here."""
 
     def close_interval(
         self, proc: int, vc: VectorClock, diffs: Dict[int, Diff]
@@ -163,10 +165,11 @@ class IntervalStore:
         knowledge covers it (``i <= known_vc[p]``, so its write notices
         can never be delivered again) and no processor still holds a
         pending notice for it (``(p, i) not in referenced``, so its
-        diffs can never be requested again).  Returns the number of
-        intervals reclaimed.
+        diffs can never be requested again).  Cached spans that start or
+        end at a reclaimed interval are evicted from :attr:`diff_cache`.
+        Returns the number of intervals reclaimed.
         """
-        dropped = 0
+        reclaimed = set()
         for p in range(self.nprocs):
             dead = [
                 i
@@ -175,9 +178,20 @@ class IntervalStore:
             ]
             for i in dead:
                 del self._by_proc[p][i]
-            dropped += len(dead)
-        self.collected += dropped
-        return dropped
+                reclaimed.add((p, i))
+        self.collected += len(reclaimed)
+        if reclaimed:
+            # A cached span is requested only by a reader holding
+            # pending notices for its first and last intervals, so once
+            # either is reclaimed the span can never be requested again.
+            cache = self.diff_cache
+            for key in [
+                k
+                for k in cache
+                if (k[0], k[2]) in reclaimed or (k[0], k[3]) in reclaimed
+            ]:
+                del cache[key]
+        return len(reclaimed)
 
     def notices_between(
         self, old_vc: VectorClock, new_vc: VectorClock

@@ -848,26 +848,29 @@ class LrcProc:
             else:
                 runs.append([nt])
 
-        per_writer_runs: Dict[int, List[Diff]] = {w: [] for w in by_writer}
-        to_apply: List[tuple] = []  # (commit order position, writer, diff)
+        per_writer_runs: Dict[int, List[int]] = {w: [] for w in by_writer}
+        to_apply: List[tuple] = []  # (writer, diff) in commit order
         writer_diff_cost: Dict[int, float] = {w: 0.0 for w in by_writer}
         store_get = self.store.get
-        scan_cache = self.store.diff_scan_cache
+        diff_cache = self.store.diff_cache
         unit_scan_us = self.layout.unit_bytes * config.diff_create_byte_us
         for position, run in enumerate(runs):
-            d = merge_diffs(
-                [store_get(nt.proc, nt.index).diff_for(nt.unit) for nt in run]
-            )
             first = run[0]
-            per_writer_runs[first.proc].append(d)
-            to_apply.append((position, first.proc, d))
-            # Lazy diffing: the writer scans the unit when a span is
-            # first requested (the cost sits on the response path) and
-            # caches the result; later requests for the same span are
-            # served from the diff cache.
             cache_key = (first.proc, first.unit, first.index, run[-1].index)
-            if cache_key not in scan_cache:
-                scan_cache.add(cache_key)
+            d = diff_cache.get(cache_key)
+            if d is None:
+                # Lazy diffing: the writer builds the span's diff when it
+                # is first requested (the scan cost sits on the response
+                # path) and keeps it in the diff cache; later requests
+                # for the same span are served from there.
+                if len(run) == 1:
+                    d = store_get(first.proc, first.index).diff_for(first.unit)
+                else:
+                    d = merge_diffs(
+                        [store_get(nt.proc, nt.index).diff_for(nt.unit)
+                         for nt in run]
+                    )
+                diff_cache[cache_key] = d
                 writer_diff_cost[first.proc] += unit_scan_us
                 self.stats.diffs_created += 1
                 self.stats.diff_words_created += d.nwords
@@ -875,27 +878,29 @@ class LrcProc:
                     self.trace.on_diff_create(
                         first.proc, self.pid, now, first.unit, d.nwords
                     )
+            per_writer_runs[first.proc].append(position)
+            to_apply.append((first.proc, d))
 
         # Build the exchanges: normally one per writer carrying all that
         # writer's runs; with combine_requests disabled (ablation), one
-        # per (writer, run).
-        exchange_plans: List[tuple] = []  # (writer, [run diffs], n_notices)
+        # per (writer, run).  Each plan lists its runs' commit positions.
+        exchange_plans: List[tuple] = []  # (writer, [positions], n_notices)
         if config.combine_requests:
             for writer in sorted(by_writer):
                 exchange_plans.append(
                     (writer, per_writer_runs[writer], len(by_writer[writer]))
                 )
         else:
-            for _pos, writer, d in to_apply:
-                exchange_plans.append((writer, [d], 1))
+            for position, (writer, _d) in enumerate(to_apply):
+                exchange_plans.append((writer, [position], 1))
 
         stall = 0.0
         exchange_ids = []
-        reply_of_run: Dict[int, int] = {}  # id(diff) -> reply msg id
+        reply_of_run = [0] * len(to_apply)  # commit position -> reply msg id
         network = self.network
         msg_cost = config.msg_cost_us
         parallel = config.parallel_fetch
-        for writer, run_diffs, n_notices in exchange_plans:
+        for writer, positions, n_notices in exchange_plans:
             ex = network.new_exchange(self.pid, writer, fault_id)
             exchange_ids.append(ex)
             req_bytes = REQUEST_BASE_BYTES + REQUEST_ENTRY_BYTES * n_notices
@@ -906,15 +911,15 @@ class LrcProc:
                 self.pid, writer, MessageClass.DIFF_REQUEST, req_bytes, now, ex,
                 waiter=self.pid,
             )
-            reply_bytes = sum(d.wire_bytes for d in run_diffs)
-            reply_words = sum(d.nwords for d in run_diffs)
+            reply_bytes = sum(to_apply[pos][1].wire_bytes for pos in positions)
+            reply_words = sum(to_apply[pos][1].nwords for pos in positions)
             reply = network.record(
                 writer, self.pid, MessageClass.DIFF_REPLY, reply_bytes, now, ex,
                 waiter=self.pid,
             )
             reply.words_carried = reply_words
-            for d in run_diffs:
-                reply_of_run[id(d)] = reply.msg_id
+            for pos in positions:
+                reply_of_run[pos] = reply.msg_id
             network.close_exchange(ex, req.msg_id, reply.msg_id)
             response_time = (
                 msg_cost(req_bytes)
@@ -937,12 +942,12 @@ class LrcProc:
         tracker_mark = self.tracker.mark
         apply_byte_us = config.diff_apply_byte_us
         wpu = self._wpu
-        for _pos, writer, d in to_apply:
-            msg_id = reply_of_run[id(d)]
+        words = self.space.words
+        for position, (writer, d) in enumerate(to_apply):
+            msg_id = reply_of_run[position]
             w0 = d.unit * wpu
-            apply_diff(d, self.space.unit_view(d.unit))
-            if d.nwords:
-                tracker_mark(d.idx + np.int64(w0), msg_id)
+            apply_diff(d, words[w0 : w0 + wpu])
+            tracker_mark(d.idx, msg_id, w0)
             apply_cost += d.data_bytes * apply_byte_us
             stats.diffs_applied += 1
             stats.diff_words_applied += d.nwords

@@ -30,8 +30,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, NoReturn, Sequence
 
-import numpy as np
-
 from repro.dsm.diff import apply_diff
 from repro.dsm.lrc import LrcProc
 from repro.protocols.base import CreditFn, ProtocolInfo, register
@@ -69,8 +67,8 @@ class EagerRcProc(LrcProc):
         for unit in units:
             d = interval.diff_for(unit)
             key = (self.pid, unit, interval.index, interval.index)
-            if key not in self.store.diff_scan_cache:
-                self.store.diff_scan_cache.add(key)
+            if key not in self.store.diff_cache:
+                self.store.diff_cache[key] = d
                 cost += self.layout.unit_bytes * self.config.diff_create_byte_us
                 self.stats.diffs_created += 1
                 self.stats.diff_words_created += d.nwords
@@ -101,7 +99,7 @@ class EagerRcProc(LrcProc):
                     apply_diff(d, twin)
                 if d.nwords:
                     w0, _ = self.layout.unit_word_range(d.unit)
-                    peer.tracker.mark(d.idx.astype(np.int64) + w0, msg.msg_id)
+                    peer.tracker.mark(d.idx, msg.msg_id, w0)
                 self.stats.diffs_applied += 1
                 self.stats.diff_words_applied += d.nwords
             # Eager knowledge transfer: the peer has now seen (and holds

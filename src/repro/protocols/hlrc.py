@@ -75,8 +75,8 @@ class HomeLrcProc(LrcProc):
             # (the defining HLRC cost shift -- tm-lrc defers it to the
             # first fetch and skips it entirely for never-fetched data).
             key = (self.pid, unit, interval.index, interval.index)
-            if key not in self.store.diff_scan_cache:
-                self.store.diff_scan_cache.add(key)
+            if key not in self.store.diff_cache:
+                self.store.diff_cache[key] = d
                 cost += self.layout.unit_bytes * self.config.diff_create_byte_us
                 self.stats.diffs_created += 1
                 self.stats.diff_words_created += d.nwords
@@ -102,7 +102,7 @@ class HomeLrcProc(LrcProc):
                 apply_diff(d, twin)
             if d.nwords:
                 w0, _ = self.layout.unit_word_range(unit)
-                peer.tracker.mark(d.idx.astype(np.int64) + w0, msg.msg_id)
+                peer.tracker.mark(d.idx, msg.msg_id, w0)
             self.stats.diffs_applied += 1
             self.stats.diff_words_applied += d.nwords
             self.stats.diff_flushes += 1

@@ -55,26 +55,46 @@ class WordTracker:
     # ------------------------------------------------------------------
     # Protocol-side events
     # ------------------------------------------------------------------
-    def mark(self, word_idx: np.ndarray, msg_id: int) -> None:
-        """Words at global offsets ``word_idx`` (distinct offsets) were
-        installed by message ``msg_id`` (a diff application).  A word
-        re-installed by a later diff before being read re-tags: the
-        earlier message's copy was overwritten unread, hence useless for
-        that word."""
-        fresh = self._owner[word_idx] < 0
-        n = int(np.count_nonzero(fresh))
-        self._owner[word_idx] = msg_id
+    def mark(self, word_idx: np.ndarray, msg_id: int, base: int = 0) -> None:
+        """Words at global offsets ``base + word_idx`` were installed by
+        message ``msg_id`` (a diff application: ``word_idx`` are the
+        diff's unit-relative offsets and ``base`` the unit's first word).
+        A word re-installed by a later diff before being read re-tags:
+        the earlier message's copy was overwritten unread, hence useless
+        for that word.
+
+        ``word_idx`` must be strictly ascending, as a diff's offsets are:
+        its first and last entries bound the range, which decides both
+        the single-unit shortcut and whether the offsets form one
+        contiguous run, marked by slice instead of fancy indexing."""
+        n_idx = word_idx.shape[0]
+        if not n_idx:
+            return
+        first = base + int(word_idx[0])
+        last = base + int(word_idx[-1])
+        contiguous = last - first + 1 == n_idx
+        if contiguous:
+            owner = self._owner[first : last + 1]
+            fresh = owner < 0
+            n = int(np.count_nonzero(fresh))
+            owner.fill(msg_id)
+        else:
+            word_idx = word_idx + np.int64(base)
+            fresh = self._owner[word_idx] < 0
+            n = int(np.count_nonzero(fresh))
+            self._owner[word_idx] = msg_id
         if not n:
             return
         self._npending += n
-        u0 = int(word_idx[0]) // self._uw
-        u1 = int(word_idx[-1]) // self._uw
+        u0 = first // self._uw
+        u1 = last // self._uw
         if u0 == u1:
             self._unit_pending[u0] += n
         else:
-            units, counts = np.unique(
-                word_idx[fresh] // self._uw, return_counts=True
+            fresh_idx = (
+                first + np.flatnonzero(fresh) if contiguous else word_idx[fresh]
             )
+            units, counts = np.unique(fresh_idx // self._uw, return_counts=True)
             for u, c in zip(units.tolist(), counts.tolist(), strict=True):
                 self._unit_pending[u] += c
 

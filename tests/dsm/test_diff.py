@@ -72,6 +72,25 @@ def test_apply_out_of_range_rejected():
         apply_diff(d, np.zeros(4, np.uint32))
 
 
+@pytest.mark.parametrize(
+    "offsets",
+    [[2, 3, 4], [3, 4], [0, 2, 4], [1, 5]],
+    ids=["slice-run", "slice-tail", "fancy-gap", "fancy-far"],
+)
+def test_apply_out_of_range_rejected_on_both_paths(offsets):
+    """A contiguous run (slice path) and a gapped diff (fancy path) that
+    reach past the unit both raise, leaving the unit untouched."""
+    idx = np.array(offsets, np.int32)
+    d = Diff(
+        unit=0, idx=idx, values=np.ones(idx.shape[0], np.uint32),
+        wire_bytes=0, nwords=int(idx.shape[0]),
+    )
+    target = np.zeros(4, np.uint32)
+    with pytest.raises(IndexError):
+        apply_diff(d, target)
+    assert not target.any()
+
+
 def test_shape_mismatch_rejected():
     with pytest.raises(ValueError):
         create_diff(0, np.zeros(4, np.uint32), np.zeros(5, np.uint32))

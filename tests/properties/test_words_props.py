@@ -62,7 +62,7 @@ def run_both(sequence):
     for op in sequence:
         if op[0] == "mark":
             _, idx, msg = op
-            tracker.mark(np.array(idx, dtype=np.int64), msg)
+            tracker.mark(np.array(sorted(idx), dtype=np.int64), msg)
             model.mark(idx, msg)
         elif op[0] == "read":
             _, w0, n = op
@@ -126,3 +126,81 @@ def test_reinstall_retags_to_latest_message(idx):
 def test_pending_words_never_negative_and_bounded(sequence):
     tracker, _, _ = run_both(sequence)
     assert 0 <= tracker.pending_count() <= NWORDS
+
+
+# ----------------------------------------------------------------------
+# Slice path of mark == fancy-index path, on contiguous ascending runs.
+# ----------------------------------------------------------------------
+UNIT = 8  # words per consistency unit of the multi-unit trackers below
+
+
+def mark_fancy(tracker, word_idx, msg_id):
+    """The fancy-index form of :meth:`WordTracker.mark`, applied to the
+    tracker's state directly (the reference for the slice path)."""
+    fresh = tracker._owner[word_idx] < 0
+    n = int(np.count_nonzero(fresh))
+    tracker._owner[word_idx] = msg_id
+    tracker._npending += n
+    units, counts = np.unique(word_idx[fresh] // tracker._uw, return_counts=True)
+    for u, c in zip(units.tolist(), counts.tolist(), strict=True):
+        tracker._unit_pending[u] += c
+
+
+def twin_trackers(history):
+    """Two multi-unit trackers driven through the same history of
+    (sorted) marks and reads, so later marks meet a mix of pending,
+    re-tagged and resolved words."""
+    pair = [WordTracker(NWORDS, lambda m, c: None, unit_words=UNIT)
+            for _ in range(2)]
+    for idx, msg, r0, rn in history:
+        arr = np.array(sorted(idx), dtype=np.int64)
+        rn = min(rn, NWORDS - r0)
+        for tr in pair:
+            tr.mark(arr, msg)
+            if rn:
+                tr.on_read(r0, rn)
+    return pair
+
+
+history = st.lists(
+    st.tuples(
+        st.lists(st.integers(0, NWORDS - 1), min_size=1, max_size=12,
+                 unique=True),
+        st.integers(0, 9),
+        st.integers(0, NWORDS - 1),
+        st.integers(0, 16),
+    ),
+    max_size=6,
+)
+
+
+def assert_same_state(a, b):
+    assert np.array_equal(a._owner, b._owner)
+    assert a.pending_count() == b.pending_count()
+    assert a._unit_pending == b._unit_pending
+
+
+@given(history, st.integers(0, NWORDS // UNIT - 1), st.data())
+@settings(max_examples=100, deadline=None)
+def test_slice_mark_within_one_unit_matches_fancy(hist, unit, data):
+    lo = data.draw(st.integers(0, UNIT - 1))
+    hi = data.draw(st.integers(lo + 1, UNIT))
+    sliced, fancy = twin_trackers(hist)
+    idx = np.arange(unit * UNIT + lo, unit * UNIT + hi, dtype=np.int64)
+    sliced.mark(idx, 42)
+    mark_fancy(fancy, idx, 42)
+    assert_same_state(sliced, fancy)
+
+
+@given(history, st.data())
+@settings(max_examples=100, deadline=None)
+def test_slice_mark_spanning_units_matches_fancy(hist, data):
+    lo = data.draw(st.integers(0, NWORDS - UNIT - 1))
+    hi = data.draw(st.integers((lo // UNIT + 1) * UNIT + 1, NWORDS))
+    sliced, fancy = twin_trackers(hist)
+    # Unit-relative offsets plus a base, as the fetch path passes them.
+    base = (lo // UNIT) * UNIT
+    rel = np.arange(lo - base, hi - base, dtype=np.int32)
+    sliced.mark(rel, 7, base)
+    mark_fancy(fancy, rel.astype(np.int64) + base, 7)
+    assert_same_state(sliced, fancy)
